@@ -196,7 +196,8 @@ int main(int argc, char** argv) {
                           uint64_t seed) -> sim::Task<void> {
               Random rng(seed);
               while (!x->stop) {
-                Status st = co_await c->Put(2 + 2 * rng.Uniform(500'000), 7);
+                Status st =
+                    co_await c->Insert(2 + 2 * rng.Uniform(500'000), 7);
                 SHERMAN_CHECK(st.ok());
                 x->ops++;
               }

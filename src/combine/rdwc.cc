@@ -129,10 +129,13 @@ sim::Task<Status> RdwcLayer::DirectVar(route::HybridClient* client,
                                        const std::string& key, bool is_put,
                                        const std::string& put_value,
                                        std::string* get_value, OpStats* stats) {
+  // A coroutine, not a plain forwarder: the callees are lazy and take the
+  // Slices by reference, so the temporaries must live until they finish.
   if (is_put) {
-    return client->InsertVarDirect(Slice(key), Slice(put_value), stats);
+    co_return co_await client->InsertVarDirect(Slice(key), Slice(put_value),
+                                               stats);
   }
-  return client->LookupVarDirect(Slice(key), get_value, stats);
+  co_return co_await client->LookupVarDirect(Slice(key), get_value, stats);
 }
 
 sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,

@@ -15,7 +15,9 @@
 namespace sherman {
 
 namespace {
-constexpr int kMaxSiblingChase = 64;
+// Cap on READs per doorbell ring (real NIC postlists are bounded); larger
+// per-MS fetch sets split into multiple rings, still pipelined.
+constexpr size_t kMaxReadBatch = 16;
 
 // Named crash sites: one per remote-write milestone of every multi-write
 // structural op in this file (tests/recover_test.cc enumerates the full
@@ -23,14 +25,20 @@ constexpr int kMaxSiblingChase = 64;
 // arms the same sites from the environment). Between two adjacent sites
 // exactly one batch of remote writes lands, so the sweep exercises every
 // crash-reachable remote state.
-const int kCrashSplitIntent = fault::RegisterCrashSite("split.intent");
-const int kCrashSplitSibling = fault::RegisterCrashSite("split.sibling");
-const int kCrashSplitLeaf = fault::RegisterCrashSite("split.leaf");
-const int kCrashSplitLinked = fault::RegisterCrashSite("split.linked");
-const int kCrashIsplitIntent = fault::RegisterCrashSite("isplit.intent");
-const int kCrashIsplitRight = fault::RegisterCrashSite("isplit.right");
-const int kCrashIsplitCommit = fault::RegisterCrashSite("isplit.commit");
-const int kCrashIsplitLinked = fault::RegisterCrashSite("isplit.linked");
+// CommitSplitAndUnlock serves leaf splits of both layouts and internal
+// splits; leaf and internal splits keep their own site names.
+struct SplitSites {
+  int intent, right, commit, linked;
+};
+const SplitSites kLeafSplitSites{fault::RegisterCrashSite("split.intent"),
+                                 fault::RegisterCrashSite("split.sibling"),
+                                 fault::RegisterCrashSite("split.leaf"),
+                                 fault::RegisterCrashSite("split.linked")};
+const SplitSites kInternalSplitSites{
+    fault::RegisterCrashSite("isplit.intent"),
+    fault::RegisterCrashSite("isplit.right"),
+    fault::RegisterCrashSite("isplit.commit"),
+    fault::RegisterCrashSite("isplit.linked")};
 const int kCrashSplitRoot = fault::RegisterCrashSite("split.root");
 const int kCrashMergeIntent = fault::RegisterCrashSite("merge.intent");
 const int kCrashMergeTombstone = fault::RegisterCrashSite("merge.tombstone");
@@ -444,7 +452,7 @@ sim::Task<void> TreeClient::UnlockSecond(
   }
 }
 
-bool TreeClient::MergeCandidate(const NodeView& view, uint32_t live) const {
+bool TreeClient::MergeCandidate(const NodeView& view) const {
   const TreeOptions& o = opt();
   if (o.merge_threshold <= 0) return false;
   // The leftmost leaf (lo fence 0) has no left sibling; a root leaf has
@@ -455,7 +463,7 @@ bool TreeClient::MergeCandidate(const NodeView& view, uint32_t live) const {
     return static_cast<double>(view.VarLiveBytes()) <
            o.merge_threshold * static_cast<double>(o.shape.var_usable_bytes());
   }
-  return static_cast<double>(live) <
+  return static_cast<double>(view.LiveLeafEntries(o.two_level_versions)) <
          o.merge_threshold * static_cast<double>(o.shape.leaf_capacity());
 }
 
@@ -702,76 +710,309 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
   co_return true;
 }
 
-// --- Insert ---------------------------------------------------------------
+// --- Shared op skeletons ----------------------------------------------------
 
-sim::Task<Status> TreeClient::Insert(Key key, uint64_t value, OpStats* stats) {
-  SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
+sim::Task<StatusOr<TreeClient::Locked>> TreeClient::LockLeafFor(
+    Key key, uint8_t* buf, OpStats* stats) {
+  for (uint32_t attempt = 0; attempt < opt().max_restarts; attempt++) {
+    StatusOr<LeafRef> leaf_r =
+        co_await FindLeafAddr(key, stats, /*allow_hint=*/attempt == 0);
+    if (!leaf_r.ok()) co_return leaf_r.status();
+    StatusOr<Locked> locked_r =
+        co_await LockAndRead(leaf_r->addr, key, buf, stats);
+    if (locked_r.ok() || !locked_r.status().IsRetry()) co_return locked_r;
+    // A hinted address that went dead-end must leave the mirror, or every
+    // subsequent restart re-serves it.
+    if (leaf_r->via_hint) NoteHintStale(key);
+    if (attempt >= 2) root_known_ = false;
+  }
+  co_return Status::Internal("leaf lock restarts exhausted");
+}
+
+sim::Task<Status> TreeClient::ReadLeafFor(Key key, uint8_t* buf,
+                                          OpStats* stats, LeafServe serve) {
   const TreeOptions& o = opt();
-  const rdma::FabricConfig& f = system_->fabric_.config();
-  EpochPin pin(&system_->reclaim_, cs_id_);
-  co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
-
+  rdma::GlobalAddress probe_addr;  // last tombstone this read bounced off
   for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
     StatusOr<LeafRef> leaf_r =
         co_await FindLeafAddr(key, stats, /*allow_hint=*/attempt == 0);
     if (!leaf_r.ok()) co_return leaf_r.status();
+    rdma::GlobalAddress addr = leaf_r->addr;
 
-    std::vector<uint8_t> buf(node_size());
-    StatusOr<Locked> locked_r =
-        co_await LockAndRead(leaf_r->addr, key, buf.data(), stats);
-    if (!locked_r.ok()) {
-      if (locked_r.status().IsRetry()) {
-        // A hinted address that went dead-end must leave the mirror, or
-        // every subsequent restart re-serves it.
-        if (leaf_r->via_hint) NoteHintStale(key);
-        // Repeated dead ends mean even a fresh resolution keeps steering
-        // here — the classic case is a cached root that was still a leaf
-        // (or since-merged node) when this client loaded it, which
-        // FindNodeAddr's root shortcut returns forever. Refresh it.
-        if (attempt >= 2) root_known_ = false;
+    bool restart = false;
+    uint32_t rereads = 0;
+    for (int chase = 0; chase < kMaxSiblingChase && !restart; chase++) {
+      Status st = co_await ReadNodeChecked(addr, buf, stats);
+      if (!st.ok()) co_return st;
+      NodeView view(buf, &o.shape);
+      if (view.is_free() || !view.is_leaf() || key < view.lo_fence()) {
+        cache_.InvalidateLevel1Covering(key);
+        // A hinted leaf that was merged, migrated, or recycled into a
+        // different role: drop the mirror entry and fall back to a full
+        // traversal — the hint is never trusted past validation.
+        if (leaf_r->via_hint && chase == 0) NoteHintStale(key);
+        if (view.is_free()) probe_addr = addr;
+        if (attempt >= 2) root_known_ = false;  // stale root (LockLeafFor)
+        restart = true;
+        break;
+      }
+      if (key >= view.hi_fence()) {
+        cache_.InvalidateLevel1Covering(key);
+        // Valid hinted leaf, but the key split off to its right since the
+        // mirror was fetched; the B-link chase below still serves it.
+        if (leaf_r->via_hint && chase == 0) NoteHintChase();
+        if (view.sibling().is_null()) {
+          restart = true;
+          break;
+        }
+        addr = view.sibling();
         continue;
       }
-      co_return locked_r.status();
-    }
-    Locked locked = *locked_r;
-    NodeView view(buf.data(), &o.shape);
-
-    if (o.two_level_versions) {
-      // Unsorted leaf: update in place or fill an empty slot; only the
-      // touched entry is written back (Figure 7, lines 11-17).
-      co_await system_->fabric_.simulator().Delay(f.cpu_leaf_scan_ns);
-      NodeView::SlotResult slot = view.FindLeafSlot(key);
-      const uint32_t i = slot.match != UINT32_MAX ? slot.match : slot.empty;
-      if (i != UINT32_MAX) {
-        view.SetLeafEntry(i, key, value);
-        const uint32_t off = view.LeafEntryOffset(i);
-        const uint32_t entry_size = o.shape.leaf_entry_size();
-        if (stats != nullptr) stats->bytes_written += entry_size;
-        std::vector<rdma::WorkRequest> wrs;
-        wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(off),
-                                               buf.data() + off, entry_size));
-        co_await hocl_.Unlock(locked.guard, std::move(wrs),
-                              o.combine_commands, stats);
-        co_return Status::OK();
+      st = co_await serve(view);
+      if (!st.IsRetry()) co_return st;
+      // Torn entry, or a value relocated between the leaf READ and the
+      // value READ: the re-read leaf carries the fresh state.
+      if (stats != nullptr) stats->read_retries++;
+      if (++rereads > o.max_read_retries) {
+        co_return Status::TimedOut("leaf re-read retries exhausted");
       }
-    } else {
-      // Sorted leaf (FG): shift-insert locally, write back the whole node.
-      co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-      if (view.SortedLeafInsert(key, value)) {
-        SealNode(view, /*structural_change=*/false);
-        if (stats != nullptr) stats->bytes_written += node_size();
-        std::vector<rdma::WorkRequest> wrs;
-        wrs.push_back(
-            rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-        co_await hocl_.Unlock(locked.guard, std::move(wrs),
-                              o.combine_commands, stats);
-        co_return Status::OK();
-      }
+      chase--;  // re-read the same leaf
     }
-    co_return co_await SplitLeafAndUnlock(locked, std::move(buf), key, value,
-                                          stats);
+    // Chase bound exhausted: a stale translation steered us far left of
+    // the key (heavy split/merge churn since it was cached). The chase
+    // already invalidated it, so a restart resolves freshly — failing the
+    // op here would surface a spurious error for a live key.
+    if (!restart) {
+      // A hinted start that needed > kMaxSiblingChase hops was not the
+      // key's leaf at all (mirror predecessor across a hint-table hole):
+      // drop the entry so later ops stop re-serving it.
+      if (leaf_r->via_hint) NoteHintStale(key);
+      if (attempt >= 2) root_known_ = false;
+    }
+    // Repeated bounces off the same tombstone mean the structural op that
+    // planted it may have died with its client; probe its lock so a dead
+    // holder's lease expiry is noticed and recovered (see
+    // ProbeLockForRecovery).
+    if (!probe_addr.is_null() && (attempt & 7) == 7) {
+      co_await ProbeLockForRecovery(probe_addr, stats);
+      probe_addr = rdma::GlobalAddress();
+    }
   }
-  co_return Status::Internal("insert restarts exhausted");
+  co_return Status::Internal("lookup restarts exhausted");
+}
+
+sim::Task<bool> TreeClient::StagePut(NodeView& view, const Locked& locked,
+                                     Key key, uint64_t value, LeafEdit* edit) {
+  const TreeOptions& o = opt();
+  const rdma::FabricConfig& f = system_->fabric_.config();
+  if (o.two_level_versions) {
+    // Unsorted leaf: update in place or fill an empty slot; only the
+    // touched entry is written back (Figure 7, lines 11-17).
+    co_await system_->fabric_.simulator().Delay(f.cpu_leaf_scan_ns);
+    NodeView::SlotResult slot = view.FindLeafSlot(key);
+    const uint32_t i = slot.match != UINT32_MAX ? slot.match : slot.empty;
+    if (i == UINT32_MAX) co_return false;
+    view.SetLeafEntry(i, key, value);
+    const uint32_t off = view.LeafEntryOffset(i);
+    const uint32_t entry_size = o.shape.leaf_entry_size();
+    edit->wrs.push_back(rdma::WorkRequest::Write(
+        locked.addr.Plus(off), view.data() + off, entry_size));
+    edit->bytes += entry_size;
+    co_return true;
+  }
+  // Sorted leaf (FG): shift-insert locally, write back the whole node.
+  co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
+  if (!view.SortedLeafInsert(key, value)) co_return false;
+  edit->whole_node = true;
+  co_return true;
+}
+
+sim::Task<bool> TreeClient::StageDelete(NodeView& view, const Locked& locked,
+                                        Key key, LeafEdit* edit) {
+  const TreeOptions& o = opt();
+  const rdma::FabricConfig& f = system_->fabric_.config();
+  if (o.two_level_versions) {
+    // Clear the entry (key = null) and bump its versions (§4.4, "Delete
+    // operation"); only the entry is written back.
+    co_await system_->fabric_.simulator().Delay(f.cpu_leaf_scan_ns);
+    NodeView::SlotResult slot = view.FindLeafSlot(key);
+    if (slot.match == UINT32_MAX) co_return false;
+    view.SetLeafEntry(slot.match, kNullKey, 0);
+    const uint32_t off = view.LeafEntryOffset(slot.match);
+    const uint32_t entry_size = o.shape.leaf_entry_size();
+    edit->wrs.push_back(rdma::WorkRequest::Write(
+        locked.addr.Plus(off), view.data() + off, entry_size));
+    edit->bytes += entry_size;
+  } else {
+    // Sorted leaf (FG): shift-remove locally; the write-back covers only
+    // the header and the left-shifted suffix.
+    co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
+    const uint32_t found = view.SortedLeafFind(key);
+    if (found == UINT32_MAX) co_return false;
+    if (edit->removed == 0) edit->count_before = view.count();
+    view.SortedLeafRemoveAt(found);
+    edit->shift_from = std::min(edit->shift_from, found);
+  }
+  edit->removed++;
+  co_return true;
+}
+
+sim::Task<void> TreeClient::WriteBackAndUnlock(const Locked& locked,
+                                               uint8_t* buf, LeafEdit edit,
+                                               OpStats* stats, bool deletes) {
+  const TreeOptions& o = opt();
+  NodeView view(buf, &o.shape);
+  if (edit.whole_node) {
+    SealNode(view, /*structural_change=*/false);
+    edit.wrs.assign(
+        1, rdma::WorkRequest::Write(locked.addr, buf, node_size()));
+    edit.bytes = node_size();
+  } else if (edit.shift_from != UINT32_MAX) {
+    // Sorted deletes: one header + one suffix write covering every shifted
+    // entry instead of the whole node; remote bytes past the suffix still
+    // equal the local staging copy, so checksum validation stays exact.
+    SealNode(view, /*structural_change=*/false);
+    edit.wrs.push_back(rdma::WorkRequest::Write(locked.addr, buf, kHeaderSize));
+    const uint32_t suffix_off = view.LeafEntryOffset(edit.shift_from);
+    const uint32_t suffix_len =
+        view.LeafEntryOffset(edit.count_before) - suffix_off;
+    edit.wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(suffix_off),
+                                                buf + suffix_off, suffix_len));
+    edit.bytes += kHeaderSize + suffix_len;
+    if (o.consistency == TreeOptions::Consistency::kVersions) {
+      // The rear node version lives in the last byte, outside both
+      // regions above.
+      edit.wrs.push_back(rdma::WorkRequest::Write(
+          locked.addr.Plus(node_size() - 1), buf + node_size() - 1, 1));
+      edit.bytes += 1;
+    }
+  }
+  if (deletes) {
+    delete_ops_++;
+    if (edit.removed > 0 && MergeCandidate(view) &&
+        MergeBackoffExpired(locked.addr)) {
+      if (co_await TryMergeLeafLocked(locked, buf, stats)) co_return;
+    }
+  }
+  if (stats != nullptr) stats->bytes_written += edit.bytes;
+  co_await hocl_.Unlock(locked.guard, std::move(edit.wrs), o.combine_commands,
+                        stats);
+}
+
+sim::Task<Status> TreeClient::CommitSplitAndUnlock(Locked locked,
+                                                   uint8_t* left_buf,
+                                                   uint8_t* right_buf,
+                                                   uint8_t old_version,
+                                                   OpStats* stats) {
+  const TreeOptions& o = opt();
+  NodeView left(left_buf, &o.shape);
+  NodeView right(right_buf, &o.shape);
+  const uint8_t level = left.level();
+  const SplitSites& sites = level == 0 ? kLeafSplitSites : kInternalSplitSites;
+  const Key sep = right.lo_fence();
+
+  // Allocate the right node (may RPC a memory thread; Figure 7, line 20).
+  const rdma::GlobalAddress right_addr = co_await allocator_.Alloc(node_size());
+  if (right_addr.is_null()) {
+    co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
+    co_return Status::OutOfMemory("disaggregated memory exhausted");
+  }
+
+  // Anchor the split before its first remote write: a crash between the
+  // writes below is replayed (commit batch landed: finish the ascent) or
+  // rolled back (retire the unpublished right node) from this record. The
+  // level disambiguates internal splits: a crashed half-split internal is
+  // B-link-legal, but its right node would leak and its separator would
+  // never reach level+1. RecoverSplit needs only the u64 separator (varlen
+  // byte keys live inside the two leaves).
+  recover::IntentRecord intent;
+  intent.op = recover::IntentOp::kSplit;
+  intent.level = level;
+  intent.lo = left.lo_fence();
+  intent.hi = right.hi_fence();
+  intent.primary = locked.addr;
+  intent.second = right_addr;
+  intent.aux = sep;
+  const int intent_slot = co_await intents_.Publish(intent, stats);
+  co_await fault::Injector().AtSite(sites.intent, cs_id_);
+
+  // Link the halves; the node-level versions bump (Figure 7, lines 26-28).
+  if (o.consistency == TreeOptions::Consistency::kChecksum) {
+    right.UpdateChecksum();
+  }
+  left.set_sibling(right_addr);
+  const uint8_t new_version = (old_version + 1) & 0xf;
+  left_buf[kOffFnv] = new_version;
+  left_buf[o.shape.node_size - 1] = new_version;
+  if (o.consistency == TreeOptions::Consistency::kChecksum) {
+    left.UpdateChecksum();
+  }
+  if (stats != nullptr) stats->bytes_written += 2ull * node_size();
+
+  // Write back. If the right node landed on the same MS the three commands
+  // (right node, this node, lock release) combine into one doorbell batch
+  // (§4.5) — crash-safe under fail-stop, because a POSTED batch completes
+  // at the NIC whether or not the client survives it, so the remote
+  // states are exactly {nothing, committed}. A cross-MS right node needs
+  // its own awaited WRITE, adding the right-only crash state.
+  std::vector<rdma::WorkRequest> wrs;
+  rdma::WorkRequest rw =
+      rdma::WorkRequest::Write(right_addr, right_buf, node_size());
+  rw.intent_slot = static_cast<uint8_t>(intent_slot);
+  if (right_addr.node == locked.addr.node) {
+    wrs.push_back(rw);
+  } else {
+    rdma::RdmaResult r = co_await QpFor(right_addr).Post(rw);
+    if (stats != nullptr) stats->round_trips++;
+    SHERMAN_CHECK(r.status.ok());
+    co_await fault::Injector().AtSite(sites.right, cs_id_);
+  }
+  wrs.push_back(rdma::WorkRequest::Write(locked.addr, left_buf, node_size()));
+  wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
+  co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
+                        stats);
+  // The commit write has applied (the await covers it): the right node is
+  // now reachable through the B-link chain, so its shadow flips
+  // private->live.
+  if (dmsan::Active()) {
+    if (dmsan::Checker* dc = dmsan::Find(&system_->fabric_.simulator())) {
+      dc->PublishNode(right_addr, level);
+    }
+  }
+  co_await fault::Injector().AtSite(sites.commit, cs_id_);
+
+  // Ascend: insert the separator into the parent level (Figure 7, line 39).
+  Status st = co_await InsertInternal(sep, right_addr,
+                                      static_cast<uint8_t>(level + 1), stats);
+  co_await fault::Injector().AtSite(sites.linked, cs_id_);
+  intents_.ClearAsync(intent_slot);
+  // Advertise a new leaf to the hint sidecar. Purely advisory and after
+  // the intent clears: a crash mid-publish leaves a fully committed split
+  // whose right leaf is simply not hinted yet. The left leaf's entry stays
+  // valid (same address, same lo fence).
+  if (level == 0) co_await HintPublish(right_addr, sep, stats);
+  co_return st;
+}
+
+// --- Insert ---------------------------------------------------------------
+
+sim::Task<Status> TreeClient::Insert(Key key, uint64_t value, OpStats* stats) {
+  SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
+  const rdma::FabricConfig& f = system_->fabric_.config();
+  EpochPin pin(&system_->reclaim_, cs_id_);
+  co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
+
+  std::vector<uint8_t> buf(node_size());
+  StatusOr<Locked> locked = co_await LockLeafFor(key, buf.data(), stats);
+  if (!locked.ok()) co_return locked.status();
+  NodeView view(buf.data(), &opt().shape);
+  LeafEdit edit;
+  if (co_await StagePut(view, *locked, key, value, &edit)) {
+    co_await WriteBackAndUnlock(*locked, buf.data(), std::move(edit), stats);
+    co_return Status::OK();
+  }
+  co_return co_await SplitLeafAndUnlock(*locked, std::move(buf), key, value,
+                                        stats);
 }
 
 sim::Task<Status> TreeClient::SplitLeafAndUnlock(Locked locked,
@@ -809,110 +1050,25 @@ sim::Task<Status> TreeClient::SplitLeafAndUnlock(Locked locked,
   if (!replaced) entries.emplace_back(key, value);
   std::sort(entries.begin(), entries.end());
 
-  // Allocate the sibling (may RPC a memory thread; Figure 7, line 20).
-  const rdma::GlobalAddress sib_addr =
-      co_await allocator_.Alloc(node_size());
-  if (sib_addr.is_null()) {
-    co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
-    co_return Status::OutOfMemory("disaggregated memory exhausted");
-  }
-
+  // Upper half -> the new right node, lower half stays here.
   const size_t mid = entries.size() / 2;
   const Key split_key = entries[mid].first;
-  const Key old_lo = view.lo_fence();
-  const Key old_hi = view.hi_fence();
-  const rdma::GlobalAddress old_sibling = view.sibling();
-  const uint8_t new_version = (view.front_version() + 1) & 0xf;
-
-  // Anchor the split before its first remote write: a crash between the
-  // writes below is replayed (commit batch landed: finish the ascent) or
-  // rolled back (retire the unpublished sibling) from this record.
-  recover::IntentRecord intent;
-  intent.op = recover::IntentOp::kSplit;
-  intent.level = 0;
-  intent.lo = old_lo;
-  intent.hi = old_hi;
-  intent.primary = locked.addr;
-  intent.second = sib_addr;
-  intent.aux = split_key;
-  const int intent_slot = co_await intents_.Publish(intent, stats);
-  co_await fault::Injector().AtSite(kCrashSplitIntent, cs_id_);
-
-  // Build the sibling: upper half, fences [split_key, old_hi).
-  std::vector<uint8_t> sib_buf(node_size());
-  NodeView sib(sib_buf.data(), &o.shape);
-  sib.InitLeaf(split_key, old_hi, old_sibling);
-  for (size_t j = mid; j < entries.size(); j++) {
-    sib.SetLeafEntryRaw(static_cast<uint32_t>(j - mid), entries[j].first,
-                        entries[j].second);
+  std::vector<uint8_t> right_buf(node_size());
+  NodeView right(right_buf.data(), &o.shape);
+  right.InitLeaf(split_key, view.hi_fence(), view.sibling());
+  const uint8_t old_version = view.front_version();
+  view.InitLeaf(view.lo_fence(), split_key, rdma::kNullAddress);
+  for (size_t j = 0; j < entries.size(); j++) {
+    NodeView& half = j < mid ? view : right;
+    half.SetLeafEntryRaw(static_cast<uint32_t>(j < mid ? j : j - mid),
+                         entries[j].first, entries[j].second);
   }
   if (!o.two_level_versions) {
-    sib.set_count(static_cast<uint16_t>(entries.size() - mid));
+    right.set_count(static_cast<uint16_t>(entries.size() - mid));
+    view.set_count(static_cast<uint16_t>(mid));
   }
-  if (o.consistency == TreeOptions::Consistency::kChecksum) {
-    sib.UpdateChecksum();
-  }
-
-  // Rebuild this node: lower half, fences [old_lo, split_key), sibling ->
-  // the new node; node-level versions bump (Figure 7, lines 26-28).
-  view.InitLeaf(old_lo, split_key, sib_addr);
-  for (size_t j = 0; j < mid; j++) {
-    view.SetLeafEntryRaw(static_cast<uint32_t>(j), entries[j].first,
-                         entries[j].second);
-  }
-  if (!o.two_level_versions) view.set_count(static_cast<uint16_t>(mid));
-  buf[kOffFnv] = new_version;
-  buf[o.shape.node_size - 1] = new_version;
-  if (o.consistency == TreeOptions::Consistency::kChecksum) {
-    view.UpdateChecksum();
-  }
-  if (stats != nullptr) stats->bytes_written += 2ull * node_size();
-
-  // Write back. If the sibling landed on the same MS the three commands
-  // (sibling, node, lock release) combine into one doorbell batch (§4.5)
-  // — crash-safe under fail-stop, because a POSTED batch completes at the
-  // NIC whether or not the client survives it, so the remote states are
-  // exactly {nothing, committed}. A cross-MS sibling needs its own
-  // awaited WRITE, adding the sibling-only crash state.
-  std::vector<rdma::WorkRequest> wrs;
-  if (sib_addr.node == locked.addr.node) {
-    wrs.push_back(
-        rdma::WorkRequest::Write(sib_addr, sib_buf.data(), node_size()));
-    wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
-  } else {
-    rdma::WorkRequest sw =
-        rdma::WorkRequest::Write(sib_addr, sib_buf.data(), node_size());
-    sw.intent_slot = static_cast<uint8_t>(intent_slot);
-    rdma::RdmaResult r = co_await QpFor(sib_addr).Post(sw);
-    if (stats != nullptr) stats->round_trips++;
-    SHERMAN_CHECK(r.status.ok());
-    co_await fault::Injector().AtSite(kCrashSplitSibling, cs_id_);
-  }
-  wrs.push_back(rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-  wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
-  co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                        stats);
-  // The commit write has applied (the await covers it): the sibling is now
-  // reachable through the B-link chain, so its shadow flips private->live.
-  if (dmsan::Active()) {
-    if (dmsan::Checker* dc = dmsan::Find(&system_->fabric_.simulator())) {
-      dc->PublishNode(sib_addr, /*level=*/0);
-    }
-  }
-  co_await fault::Injector().AtSite(kCrashSplitLeaf, cs_id_);
-
-  // Ascend: insert the separator into the parent level (Figure 7, line 39).
-  Status st = co_await InsertInternal(split_key, sib_addr,
-                                      static_cast<uint8_t>(view.level() + 1),
-                                      stats);
-  co_await fault::Injector().AtSite(kCrashSplitLinked, cs_id_);
-  intents_.ClearAsync(intent_slot);
-  // Advertise the new sibling to the hint sidecar. Purely advisory and
-  // after the intent clears: a crash mid-publish leaves a fully committed
-  // split whose sibling is simply not hinted yet. The left leaf's entry
-  // stays valid (same address, same lo fence).
-  co_await HintPublish(sib_addr, split_key, stats);
-  co_return st;
+  co_return co_await CommitSplitAndUnlock(locked, buf.data(), right_buf.data(),
+                                          old_version, stats);
 }
 
 sim::Task<Status> TreeClient::InsertInternal(Key sep,
@@ -979,96 +1135,28 @@ sim::Task<Status> TreeClient::InsertInternal(Key sep,
     std::sort(ents.begin(), ents.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
 
-    const rdma::GlobalAddress right_addr =
-        co_await allocator_.Alloc(node_size());
-    if (right_addr.is_null()) {
-      co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
-      co_return Status::OutOfMemory("disaggregated memory exhausted");
-    }
-
     const size_t mid = ents.size() / 2;
     const Key promote = ents[mid].first;
-    const Key old_lo = view.lo_fence();
-    const Key old_hi = view.hi_fence();
-    const rdma::GlobalAddress old_sibling = view.sibling();
-    const rdma::GlobalAddress old_leftmost = view.leftmost_child();
-    const uint8_t new_version = (view.front_version() + 1) & 0xf;
-
-    // Internal splits get their own intent (same record shape as a leaf
-    // split; the level disambiguates): a crashed half-split internal is
-    // B-link-legal but its unpublished right node would leak and its
-    // promoted separator would never reach level+1.
-    recover::IntentRecord intent;
-    intent.op = recover::IntentOp::kSplit;
-    intent.level = level;
-    intent.lo = old_lo;
-    intent.hi = old_hi;
-    intent.primary = locked.addr;
-    intent.second = right_addr;
-    intent.aux = promote;
-    const int intent_slot = co_await intents_.Publish(intent, stats);
-    co_await fault::Injector().AtSite(kCrashIsplitIntent, cs_id_);
-
     std::vector<uint8_t> right_buf(node_size());
     NodeView right(right_buf.data(), &o.shape);
-    right.InitInternal(level, promote, old_hi, old_sibling,
+    right.InitInternal(level, promote, view.hi_fence(), view.sibling(),
                        /*leftmost=*/ents[mid].second);
     for (size_t j = mid + 1; j < ents.size(); j++) {
       right.SetInternalEntry(static_cast<uint32_t>(j - mid - 1),
                              ents[j].first, ents[j].second);
     }
     right.set_count(static_cast<uint16_t>(ents.size() - mid - 1));
-    if (o.consistency == TreeOptions::Consistency::kChecksum) {
-      right.UpdateChecksum();
-    }
-
-    view.InitInternal(level, old_lo, promote, right_addr, old_leftmost);
+    const uint8_t old_version = view.front_version();
+    view.InitInternal(level, view.lo_fence(), promote, rdma::kNullAddress,
+                      view.leftmost_child());
     for (size_t j = 0; j < mid; j++) {
       view.SetInternalEntry(static_cast<uint32_t>(j), ents[j].first,
                             ents[j].second);
     }
     view.set_count(static_cast<uint16_t>(mid));
-    buf[kOffFnv] = new_version;
-    buf[o.shape.node_size - 1] = new_version;
-    if (o.consistency == TreeOptions::Consistency::kChecksum) {
-      view.UpdateChecksum();
-    }
-    if (stats != nullptr) stats->bytes_written += 2ull * node_size();
-
-    // Same-MS right nodes ride the commit batch; cross-MS ones publish
-    // with their own awaited WRITE — see the leaf split's rationale.
-    std::vector<rdma::WorkRequest> wrs;
-    if (right_addr.node == locked.addr.node) {
-      wrs.push_back(
-          rdma::WorkRequest::Write(right_addr, right_buf.data(), node_size()));
-      wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
-    } else {
-      rdma::WorkRequest rw =
-          rdma::WorkRequest::Write(right_addr, right_buf.data(), node_size());
-      rw.intent_slot = static_cast<uint8_t>(intent_slot);
-      rdma::RdmaResult r = co_await QpFor(right_addr).Post(rw);
-      if (stats != nullptr) stats->round_trips++;
-      SHERMAN_CHECK(r.status.ok());
-      co_await fault::Injector().AtSite(kCrashIsplitRight, cs_id_);
-    }
-    wrs.push_back(
-        rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-    wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
-    co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                          stats);
-    if (dmsan::Active()) {
-      if (dmsan::Checker* dc = dmsan::Find(&system_->fabric_.simulator())) {
-        dc->PublishNode(right_addr, level);
-      }
-    }
-    co_await fault::Injector().AtSite(kCrashIsplitCommit, cs_id_);
-
-    Status st = co_await InsertInternal(promote, right_addr,
-                                        static_cast<uint8_t>(level + 1),
-                                        stats);
-    co_await fault::Injector().AtSite(kCrashIsplitLinked, cs_id_);
-    intents_.ClearAsync(intent_slot);
-    co_return st;
+    co_return co_await CommitSplitAndUnlock(locked, buf.data(),
+                                            right_buf.data(), old_version,
+                                            stats);
   }
   co_return Status::Internal("internal insert restarts exhausted");
 }
@@ -1153,283 +1241,65 @@ sim::Task<Status> TreeClient::MakeNewRoot(Key sep, rdma::GlobalAddress child,
 
 // --- Lookup ----------------------------------------------------------------
 
+sim::Task<Status> TreeClient::LookupInLeaf(const NodeView& view, Key key,
+                                           uint64_t* value) {
+  const rdma::FabricConfig& f = system_->fabric_.config();
+  if (opt().two_level_versions) {
+    // Unsorted leaf: full scan, then the entry-level check (Figure 9).
+    co_await system_->fabric_.simulator().Delay(f.cpu_leaf_scan_ns);
+    NodeView::SlotResult slot = view.FindLeafSlot(key);
+    if (slot.match == UINT32_MAX) co_return Status::NotFound();
+    if (!view.LeafEntryVersionsMatch(slot.match)) {
+      co_return Status::Retry("torn leaf entry");
+    }
+    *value = view.LeafValue(slot.match);
+    co_return Status::OK();
+  }
+  co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
+  const uint32_t i = view.SortedLeafFind(key);
+  if (i == UINT32_MAX) co_return Status::NotFound();
+  *value = view.LeafValue(i);
+  co_return Status::OK();
+}
+
 sim::Task<Status> TreeClient::Lookup(Key key, uint64_t* value,
                                      OpStats* stats) {
   SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
-  const TreeOptions& o = opt();
   const rdma::FabricConfig& f = system_->fabric_.config();
   EpochPin pin(&system_->reclaim_, cs_id_);
   co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
 
   std::vector<uint8_t> buf(node_size());
-  rdma::GlobalAddress probe_addr;  // last tombstone this lookup bounced off
-  for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
-    StatusOr<LeafRef> leaf_r =
-        co_await FindLeafAddr(key, stats, /*allow_hint=*/attempt == 0);
-    if (!leaf_r.ok()) co_return leaf_r.status();
-    rdma::GlobalAddress addr = leaf_r->addr;
-
-    bool restart = false;
-    uint32_t entry_retries = 0;
-    for (int chase = 0; chase < kMaxSiblingChase && !restart; chase++) {
-      Status st = co_await ReadNodeChecked(addr, buf.data(), stats);
-      if (!st.ok()) co_return st;
-      NodeView view(buf.data(), &o.shape);
-      if (view.is_free() || !view.is_leaf() || key < view.lo_fence()) {
-        cache_.InvalidateLevel1Covering(key);
-        // A hinted leaf that was merged, migrated, or recycled into a
-        // different role: drop the mirror entry and fall back to a full
-        // traversal — the hint is never trusted past validation.
-        if (leaf_r->via_hint && chase == 0) NoteHintStale(key);
-        if (view.is_free()) probe_addr = addr;
-        if (attempt >= 2) root_known_ = false;  // stale root (see Insert)
-        restart = true;
-        break;
-      }
-      if (key >= view.hi_fence()) {
-        cache_.InvalidateLevel1Covering(key);
-        // Valid hinted leaf, but the key split off to its right since the
-        // mirror was fetched; the B-link chase below still serves it.
-        if (leaf_r->via_hint && chase == 0) NoteHintChase();
-        if (view.sibling().is_null()) {
-          restart = true;
-          break;
-        }
-        addr = view.sibling();
-        continue;
-      }
-      if (o.two_level_versions) {
-        // Unsorted leaf: full scan, then the entry-level check (Figure 9).
-        co_await system_->fabric_.simulator().Delay(f.cpu_leaf_scan_ns);
-        NodeView::SlotResult slot = view.FindLeafSlot(key);
-        if (slot.match == UINT32_MAX) co_return Status::NotFound();
-        if (!view.LeafEntryVersionsMatch(slot.match)) {
-          if (stats != nullptr) stats->read_retries++;
-          if (++entry_retries > o.max_read_retries) {
-            co_return Status::TimedOut("entry version retries exhausted");
-          }
-          chase--;  // re-read the same leaf
-          continue;
-        }
-        *value = view.LeafValue(slot.match);
-        co_return Status::OK();
-      }
-      co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-      const uint32_t i = view.SortedLeafFind(key);
-      if (i == UINT32_MAX) co_return Status::NotFound();
-      *value = view.LeafValue(i);
-      co_return Status::OK();
-    }
-    // Chase bound exhausted: a stale translation steered us far left of
-    // the key (heavy split/merge churn since it was cached). The chase
-    // already invalidated it, so a restart resolves freshly — failing the
-    // op here would surface a spurious error for a live key.
-    if (!restart) {
-      // A hinted start that needed > kMaxSiblingChase hops was not the
-      // key's leaf at all (mirror predecessor across a hint-table hole):
-      // drop the entry so later ops stop re-serving it.
-      if (leaf_r->via_hint) NoteHintStale(key);
-      if (attempt >= 2) root_known_ = false;
-    }
-    // Repeated bounces off the same tombstone mean the structural op that
-    // planted it may have died with its client; probe its lock so a dead
-    // holder's lease expiry is noticed and recovered (see
-    // ProbeLockForRecovery).
-    if (!probe_addr.is_null() && (attempt & 7) == 7) {
-      co_await ProbeLockForRecovery(probe_addr, stats);
-      probe_addr = rdma::GlobalAddress();
-    }
-  }
-  co_return Status::Internal("lookup restarts exhausted");
+  co_return co_await ReadLeafFor(
+      key, buf.data(), stats,
+      [this, key, value](const NodeView& view) {
+        return LookupInLeaf(view, key, value);
+      });
 }
 
 // --- Delete ----------------------------------------------------------------
 
 sim::Task<Status> TreeClient::Delete(Key key, OpStats* stats) {
   SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
-  const TreeOptions& o = opt();
   const rdma::FabricConfig& f = system_->fabric_.config();
   EpochPin pin(&system_->reclaim_, cs_id_);
   co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
 
-  for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
-    StatusOr<LeafRef> leaf_r =
-        co_await FindLeafAddr(key, stats, /*allow_hint=*/attempt == 0);
-    if (!leaf_r.ok()) co_return leaf_r.status();
-
-    std::vector<uint8_t> buf(node_size());
-    StatusOr<Locked> locked_r =
-        co_await LockAndRead(leaf_r->addr, key, buf.data(), stats);
-    if (!locked_r.ok()) {
-      if (locked_r.status().IsRetry()) {
-        if (leaf_r->via_hint) NoteHintStale(key);  // see Insert
-        if (attempt >= 2) root_known_ = false;  // stale root (see Insert)
-        continue;
-      }
-      co_return locked_r.status();
-    }
-    Locked locked = *locked_r;
-    NodeView view(buf.data(), &o.shape);
-
-    std::vector<rdma::WorkRequest> wrs;
-    uint64_t write_bytes = 0;
-    uint32_t live = 0;
-    if (o.two_level_versions) {
-      // Clear the entry (key = null) and bump its versions (§4.4,
-      // "Delete operation"); only the entry is written back.
-      co_await system_->fabric_.simulator().Delay(f.cpu_leaf_scan_ns);
-      NodeView::SlotResult slot = view.FindLeafSlot(key);
-      if (slot.match == UINT32_MAX) {
-        co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
-        co_return Status::NotFound();
-      }
-      view.SetLeafEntry(slot.match, kNullKey, 0);
-      const uint32_t off = view.LeafEntryOffset(slot.match);
-      const uint32_t entry_size = o.shape.leaf_entry_size();
-      wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(off),
-                                             buf.data() + off, entry_size));
-      write_bytes = entry_size;
-      if (o.merge_threshold > 0) live = view.LiveLeafEntries(true);
-    } else {
-      // Sorted leaf (FG): shift-remove locally, then write back only what
-      // changed — the header (count, seal) and the left-shifted suffix —
-      // instead of the whole node; remote bytes past the suffix still
-      // equal the local staging copy, so checksum validation stays exact.
-      co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-      const uint32_t n_before = view.count();
-      const uint32_t found = view.SortedLeafFind(key);
-      if (found == UINT32_MAX) {
-        co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
-        co_return Status::NotFound();
-      }
-      view.SortedLeafRemoveAt(found);
-      SealNode(view, /*structural_change=*/false);
-      wrs.push_back(
-          rdma::WorkRequest::Write(locked.addr, buf.data(), kHeaderSize));
-      write_bytes = kHeaderSize;
-      const uint32_t suffix_off = view.LeafEntryOffset(found);
-      const uint32_t suffix_len = view.LeafEntryOffset(n_before) - suffix_off;
-      wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(suffix_off),
-                                             buf.data() + suffix_off,
-                                             suffix_len));
-      write_bytes += suffix_len;
-      if (o.consistency == TreeOptions::Consistency::kVersions) {
-        // The rear node version lives in the last byte, outside both
-        // regions above.
-        wrs.push_back(rdma::WorkRequest::Write(
-            locked.addr.Plus(node_size() - 1), buf.data() + node_size() - 1,
-            1));
-        write_bytes += 1;
-      }
-      live = n_before - 1;
-    }
-
-    delete_ops_++;
-    if (MergeCandidate(view, live) && MergeBackoffExpired(locked.addr)) {
-      const bool merged = co_await TryMergeLeafLocked(locked, buf.data(),
-                                                      stats);
-      if (merged) co_return Status::OK();
-    }
-    if (stats != nullptr) stats->bytes_written += write_bytes;
-    co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                          stats);
-    co_return Status::OK();
+  std::vector<uint8_t> buf(node_size());
+  StatusOr<Locked> locked = co_await LockLeafFor(key, buf.data(), stats);
+  if (!locked.ok()) co_return locked.status();
+  NodeView view(buf.data(), &opt().shape);
+  LeafEdit edit;
+  if (!co_await StageDelete(view, *locked, key, &edit)) {
+    co_await hocl_.Unlock(locked->guard, {}, opt().combine_commands, stats);
+    co_return Status::NotFound();
   }
-  co_return Status::Internal("delete restarts exhausted");
+  co_await WriteBackAndUnlock(*locked, buf.data(), std::move(edit), stats,
+                              /*deletes=*/true);
+  co_return Status::OK();
 }
 
 // --- MultiDelete ------------------------------------------------------------
-
-sim::Task<void> TreeClient::ApplyDeleteGroup(
-    rdma::GlobalAddress addr, std::vector<size_t> idxs,
-    const std::vector<Key>* keys, std::vector<Status>* out,
-    std::vector<uint8_t>* defer, OpStats* stats, sim::CountdownLatch* latch) {
-  const TreeOptions& o = opt();
-  const rdma::FabricConfig& f = system_->fabric_.config();
-  std::vector<uint8_t> buf(node_size());
-  const Key first_key = (*keys)[idxs[0]];
-  StatusOr<Locked> locked_r =
-      co_await LockAndRead(addr, first_key, buf.data(), stats);
-  if (!locked_r.ok()) {
-    for (size_t idx : idxs) (*defer)[idx] = 1;
-    latch->Arrive();
-    co_return;
-  }
-  Locked locked = *locked_r;
-  NodeView view(buf.data(), &o.shape);
-
-  std::vector<rdma::WorkRequest> wrs;
-  uint64_t write_bytes = 0;
-  const uint32_t n_before = o.two_level_versions ? 0 : view.count();
-  uint32_t min_shift = UINT32_MAX;  // sorted mode: leftmost removed slot
-  uint32_t removed = 0;
-  for (size_t idx : idxs) {
-    const Key key = (*keys)[idx];
-    if (!view.InFence(key)) {  // sibling chase moved us off this key
-      (*defer)[idx] = 1;
-      continue;
-    }
-    if (o.two_level_versions) {
-      co_await system_->fabric_.simulator().Delay(f.cpu_leaf_scan_ns);
-      NodeView::SlotResult slot = view.FindLeafSlot(key);
-      if (slot.match == UINT32_MAX) {
-        (*out)[idx] = Status::NotFound();
-        continue;
-      }
-      view.SetLeafEntry(slot.match, kNullKey, 0);
-      const uint32_t off = view.LeafEntryOffset(slot.match);
-      const uint32_t entry_size = o.shape.leaf_entry_size();
-      wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(off),
-                                             buf.data() + off, entry_size));
-      write_bytes += entry_size;
-      (*out)[idx] = Status::OK();
-    } else {
-      co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-      const uint32_t found = view.SortedLeafFind(key);
-      if (found == UINT32_MAX) {
-        (*out)[idx] = Status::NotFound();
-        continue;
-      }
-      view.SortedLeafRemoveAt(found);
-      min_shift = std::min(min_shift, found);
-      removed++;
-      (*out)[idx] = Status::OK();
-    }
-  }
-  if (!o.two_level_versions && removed > 0) {
-    // One header + one suffix write covering every shifted entry.
-    SealNode(view, /*structural_change=*/false);
-    wrs.push_back(
-        rdma::WorkRequest::Write(locked.addr, buf.data(), kHeaderSize));
-    const uint32_t suffix_off = view.LeafEntryOffset(min_shift);
-    const uint32_t suffix_len = view.LeafEntryOffset(n_before) - suffix_off;
-    wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(suffix_off),
-                                           buf.data() + suffix_off,
-                                           suffix_len));
-    write_bytes += kHeaderSize + suffix_len;
-    if (o.consistency == TreeOptions::Consistency::kVersions) {
-      wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(node_size() - 1),
-                                             buf.data() + node_size() - 1, 1));
-      write_bytes += 1;
-    }
-  }
-
-  const uint32_t live =
-      o.merge_threshold > 0 ? view.LiveLeafEntries(o.two_level_versions) : 0;
-  delete_ops_++;
-  if ((write_bytes > 0 || removed > 0) && MergeCandidate(view, live) &&
-      MergeBackoffExpired(locked.addr)) {
-    const bool merged = co_await TryMergeLeafLocked(locked, buf.data(), stats);
-    if (merged) {
-      latch->Arrive();
-      co_return;
-    }
-  }
-  if (stats != nullptr) stats->bytes_written += write_bytes;
-  co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                        stats);
-  latch->Arrive();
-}
 
 sim::Task<Status> TreeClient::MultiDelete(std::vector<Key> keys,
                                           std::vector<Status>* out,
@@ -1441,55 +1311,31 @@ sim::Task<Status> TreeClient::MultiDelete(std::vector<Key> keys,
   EpochPin pin(&system_->reclaim_, cs_id_);
   co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
 
-  // Phase 1 — plan leaves concurrently, one descent per DISTINCT key
-  // (same as MultiGet/MultiInsert).
+  // Plan leaves, then clear each leaf group's entries under one lock with
+  // the writes + release in a single doorbell, groups in parallel.
+  // Duplicate keys within a batch stay in one group (same planned leaf),
+  // so the second clear simply reports NotFound.
   const size_t n = keys.size();
-  std::map<Key, size_t> plan_of;  // key -> plan slot
-  std::vector<Key> uniq;
-  for (Key k : keys) {
-    auto [it, inserted] = plan_of.try_emplace(k, uniq.size());
-    if (inserted) uniq.push_back(k);
-  }
-  std::vector<LeafRef> refs(uniq.size());
-  std::vector<Status> plan_st(uniq.size(), Status::OK());
-  {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.plan",
-                  uniq.size());
-    sim::CountdownLatch latch(uniq.size());
-    for (size_t j = 0; j < uniq.size(); j++) {
-      sim::Spawn(PlanLeafInto(uniq[j], &refs[j], &plan_st[j], stats, &latch));
-    }
-    co_await latch.Wait();
-  }
-
-  // Phase 2 — group by target leaf; each group clears its entries under
-  // one lock with the writes + release in a single doorbell, groups in
-  // parallel. Duplicate keys within a batch stay in one group (same
-  // planned leaf), so the second clear simply reports NotFound.
+  BatchPlan plan;
+  co_await PlanBatch(keys, &plan, stats);
   std::vector<uint8_t> defer(n, 0);
-  std::map<uint64_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < n; i++) {
-    const size_t j = plan_of[keys[i]];
-    if (plan_st[j].ok()) {
-      groups[refs[j].addr.ToU64()].push_back(i);
-    } else {
-      defer[i] = 1;
-    }
-  }
-  if (!groups.empty()) {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.apply",
-                  groups.size());
-    sim::CountdownLatch latch(groups.size());
-    for (auto& [addr_u64, idxs] : groups) {
-      sim::Spawn(ApplyDeleteGroup(rdma::GlobalAddress::FromU64(addr_u64),
-                                  std::move(idxs), &keys, out, &defer, stats,
-                                  &latch));
-    }
-    co_await latch.Wait();
-  }
+  co_await ApplyGroups(
+      plan, &defer, stats,
+      [&](Locked locked, uint8_t* buf,
+          std::vector<size_t> idxs) -> sim::Task<void> {
+        NodeView view(buf, &opt().shape);
+        LeafEdit edit;
+        for (size_t idx : idxs) {
+          const bool found = co_await StageDelete(view, locked, keys[idx],
+                                                  &edit);
+          (*out)[idx] = found ? Status::OK() : Status::NotFound();
+        }
+        co_await WriteBackAndUnlock(locked, buf, std::move(edit), stats,
+                                    /*deletes=*/true);
+      });
 
-  // Phase 3 — deferred keys (fence moves, plan failures) go through the
-  // full op-at-a-time delete.
+  // Deferred keys (fence moves, plan failures) go through the full
+  // op-at-a-time delete.
   Status overall = Status::OK();
   for (size_t i = 0; i < n; i++) {
     if (!defer[i]) continue;
@@ -1533,7 +1379,7 @@ sim::Task<Status> TreeClient::RangeQuery(
   rdma::GlobalAddress probe_addr;  // last tombstone this scan bounced off
 
   for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
-    // See Lookup: repeated bounces off one tombstone may mean its writer
+    // See ReadLeafFor: repeated bounces off one tombstone may mean its writer
     // died mid-structural-op; probe its lock so recovery triggers.
     if (!probe_addr.is_null() && attempt > 0 && (attempt & 7) == 0) {
       co_await ProbeLockForRecovery(probe_addr, stats);
@@ -1603,7 +1449,7 @@ sim::Task<Status> TreeClient::RangeQuery(
           } else if (!usable || cursor >= view.hi_fence()) {
             cache_.InvalidateLevel1Covering(cursor);
             if (view.is_free()) probe_addr = leaves[i];
-            if (attempt >= 2) root_known_ = false;  // stale root (see Insert)
+            if (attempt >= 2) root_known_ = false;  // stale root
             restart = true;
             break;
           }
@@ -1660,13 +1506,35 @@ sim::Task<Status> TreeClient::RangeQuery(
   co_return Status::Internal("range restarts exhausted");
 }
 
-// --- Batched operations (MultiGet / MultiInsert) ---------------------------
+// --- Batched operations -----------------------------------------------------
 
-namespace {
-// Cap on READs per doorbell ring (real NIC postlists are bounded); larger
-// per-MS fetch sets split into multiple rings, still pipelined.
-constexpr size_t kMaxReadBatch = 16;
-}  // namespace
+sim::Task<void> TreeClient::PlanBatch(std::vector<Key> keys, BatchPlan* plan,
+                                      OpStats* stats) {
+  // Hot keys repeat in Zipfian batches: one descent serves all copies.
+  // Cache hits are local; misses traverse, and the traversals run
+  // concurrently so their upper-level READs overlap instead of paying a
+  // full descent each.
+  std::map<Key, size_t> slot_of;
+  std::vector<Key> uniq;
+  plan->slot.assign(keys.size(), SIZE_MAX);
+  for (size_t i = 0; i < keys.size(); i++) {
+    if (keys[i] == kNullKey) continue;
+    auto [it, inserted] = slot_of.try_emplace(keys[i], uniq.size());
+    if (inserted) uniq.push_back(keys[i]);
+    plan->slot[i] = it->second;
+  }
+  plan->keys = std::move(keys);
+  plan->refs.assign(uniq.size(), LeafRef{});
+  plan->st.assign(uniq.size(), Status::OK());
+  SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.plan",
+                uniq.size());
+  sim::CountdownLatch latch(uniq.size());
+  for (size_t j = 0; j < uniq.size(); j++) {
+    sim::Spawn(PlanLeafInto(uniq[j], &plan->refs[j], &plan->st[j], stats,
+                            &latch));
+  }
+  co_await latch.Wait();
+}
 
 sim::Task<void> TreeClient::PlanLeafInto(Key key, LeafRef* ref, Status* st,
                                          OpStats* stats,
@@ -1680,74 +1548,27 @@ sim::Task<void> TreeClient::PlanLeafInto(Key key, LeafRef* ref, Status* st,
   latch->Arrive();
 }
 
-sim::Task<void> TreeClient::PostReadsInto(uint16_t ms_node,
-                                          std::vector<rdma::WorkRequest> wrs,
-                                          OpStats* stats,
-                                          sim::CountdownLatch* latch) {
-  SHERMAN_TEVENT(stats != nullptr ? stats->trace : nullptr, "rdma.read_batch",
-                 wrs.size(), ms_node);
-  rdma::RdmaResult r = co_await system_->fabric_.qp(cs_id_, ms_node)
-                           .PostReadBatch(std::move(wrs));
-  SHERMAN_CHECK(r.status.ok());
-  if (stats != nullptr) stats->round_trips++;
-  latch->Arrive();
-}
-
-sim::Task<Status> TreeClient::MultiGet(std::vector<Key> keys,
-                                       std::vector<MultiGetResult>* out,
-                                       OpStats* stats) {
-  const TreeOptions& o = opt();
-  const rdma::FabricConfig& f = system_->fabric_.config();
+sim::Task<void> TreeClient::FetchPlannedLeaves(const BatchPlan& plan,
+                                               LeafFetch* fetch,
+                                               OpStats* stats) {
   sim::Simulator& sim = system_->fabric_.simulator();
-  out->assign(keys.size(), MultiGetResult{});
-  if (keys.empty()) co_return Status::OK();
-  for (Key k : keys) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
-  EpochPin pin(&system_->reclaim_, cs_id_);
-  co_await sim.Delay(f.cpu_op_overhead_ns);
-
-  // Phase 1 — plan: resolve every DISTINCT key to a leaf address (hot
-  // keys repeat in Zipfian batches; one descent serves all copies). Cache
-  // hits are local; misses traverse, and the traversals run concurrently
-  // so their upper-level READs overlap instead of paying a full descent
-  // each.
-  const size_t n = keys.size();
-  std::map<Key, size_t> plan_of;  // key -> plan slot
-  std::vector<Key> uniq;
-  for (Key k : keys) {
-    auto [it, inserted] = plan_of.try_emplace(k, uniq.size());
-    if (inserted) uniq.push_back(k);
-  }
-  std::vector<LeafRef> refs(uniq.size());
-  std::vector<Status> plan_st(uniq.size(), Status::OK());
-  {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.plan",
-                  uniq.size());
-    sim::CountdownLatch latch(uniq.size());
-    for (size_t j = 0; j < uniq.size(); j++) {
-      sim::Spawn(PlanLeafInto(uniq[j], &refs[j], &plan_st[j], stats, &latch));
-    }
-    co_await latch.Wait();
-  }
-
-  // Phase 2 — fetch: one buffer per distinct leaf, one doorbell-batched
-  // READ list per memory server (chunked at the NIC postlist cap).
+  // One buffer per distinct leaf, one doorbell-batched READ list per
+  // memory server (chunked at the NIC postlist cap).
   std::map<uint64_t, size_t> buf_of;  // leaf addr -> buffer index
   std::vector<rdma::GlobalAddress> leaves;
-  std::vector<size_t> key_buf(n, SIZE_MAX);
-  for (size_t i = 0; i < n; i++) {
-    const size_t j = plan_of[keys[i]];
-    if (!plan_st[j].ok()) continue;
-    const rdma::GlobalAddress addr = refs[j].addr;
+  fetch->key_buf.assign(plan.keys.size(), SIZE_MAX);
+  for (size_t i = 0; i < plan.keys.size(); i++) {
+    if (!plan.ok(i)) continue;
+    const rdma::GlobalAddress addr = plan.addr(i);
     auto [it, inserted] = buf_of.try_emplace(addr.ToU64(), leaves.size());
     if (inserted) leaves.push_back(addr);
-    key_buf[i] = it->second;
+    fetch->key_buf[i] = it->second;
   }
-  std::vector<std::vector<uint8_t>> bufs(leaves.size(),
-                                         std::vector<uint8_t>(node_size()));
+  fetch->bufs.assign(leaves.size(), std::vector<uint8_t>(node_size()));
   std::map<uint16_t, std::vector<rdma::WorkRequest>> per_ms;
   for (size_t j = 0; j < leaves.size(); j++) {
-    per_ms[leaves[j].node].push_back(
-        rdma::WorkRequest::Read(leaves[j], bufs[j].data(), node_size()));
+    per_ms[leaves[j].node].push_back(rdma::WorkRequest::Read(
+        leaves[j], fetch->bufs[j].data(), node_size()));
   }
   std::vector<std::pair<uint16_t, std::vector<rdma::WorkRequest>>> rings;
   for (auto& [ms, wrs] : per_ms) {
@@ -1767,63 +1588,130 @@ sim::Task<Status> TreeClient::MultiGet(std::vector<Key> keys,
     }
     co_await latch.Wait();
   }
-
   // 4-bit wraparound guard (§4.4), batch edition: if the whole fetch took
   // longer than a full version cycle could, don't trust version-matching
   // leaves — re-serve through the checked singleton path.
-  const bool slow_fetch =
-      o.consistency == TreeOptions::Consistency::kVersions &&
-      sim.now() - fetch_start > WrapGuardNs();
+  fetch->slow = opt().consistency == TreeOptions::Consistency::kVersions &&
+                sim.now() - fetch_start > WrapGuardNs();
+}
 
-  // Phase 3 — validate locally; anything stale or torn falls back.
+sim::Task<void> TreeClient::PostReadsInto(uint16_t ms_node,
+                                          std::vector<rdma::WorkRequest> wrs,
+                                          OpStats* stats,
+                                          sim::CountdownLatch* latch) {
+  SHERMAN_TEVENT(stats != nullptr ? stats->trace : nullptr, "rdma.read_batch",
+                 wrs.size(), ms_node);
+  rdma::RdmaResult r = co_await system_->fabric_.qp(cs_id_, ms_node)
+                           .PostReadBatch(std::move(wrs));
+  SHERMAN_CHECK(r.status.ok());
+  if (stats != nullptr) stats->round_trips++;
+  latch->Arrive();
+}
+
+uint8_t* TreeClient::FetchedLeafFor(LeafFetch& fetch, size_t i, Key key,
+                                    OpStats* stats) {
+  // Planning failed (e.g. restarts exhausted under churn): the singleton
+  // path retries from scratch with its own bounds.
+  if (fetch.key_buf[i] == SIZE_MAX) return nullptr;
+  uint8_t* buf = fetch.bufs[fetch.key_buf[i]].data();
+  if (fetch.slow || !NodeConsistent(buf)) {
+    if (stats != nullptr) stats->read_retries++;
+    return nullptr;
+  }
+  NodeView view(buf, &opt().shape);
+  if (view.is_free() || !view.is_leaf() || !view.InFence(key)) {
+    cache_.InvalidateLevel1Covering(key);
+    return nullptr;
+  }
+  return buf;
+}
+
+sim::Task<void> TreeClient::ApplyGroups(const BatchPlan& plan,
+                                        std::vector<uint8_t>* defer,
+                                        OpStats* stats, GroupStep step) {
+  std::map<uint64_t, std::vector<size_t>> groups;
+  for (size_t i = 0; i < plan.keys.size(); i++) {
+    if (plan.ok(i)) {
+      groups[plan.addr(i).ToU64()].push_back(i);
+    } else {
+      (*defer)[i] = 1;
+    }
+  }
+  if (groups.empty()) co_return;
+  SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.apply",
+                groups.size());
+  sim::CountdownLatch latch(groups.size());
+  for (auto& [addr_u64, idxs] : groups) {
+    sim::Spawn(ApplyGroup(rdma::GlobalAddress::FromU64(addr_u64),
+                          std::move(idxs), &plan, defer, stats, &step,
+                          &latch));
+  }
+  co_await latch.Wait();
+}
+
+sim::Task<void> TreeClient::ApplyGroup(rdma::GlobalAddress addr,
+                                       std::vector<size_t> idxs,
+                                       const BatchPlan* plan,
+                                       std::vector<uint8_t>* defer,
+                                       OpStats* stats, const GroupStep* step,
+                                       sim::CountdownLatch* latch) {
+  std::vector<uint8_t> buf(node_size());
+  StatusOr<Locked> locked =
+      co_await LockAndRead(addr, plan->keys[idxs[0]], buf.data(), stats);
+  if (locked.ok()) {
+    NodeView view(buf.data(), &opt().shape);
+    std::vector<size_t> mine;
+    for (size_t idx : idxs) {
+      if (view.InFence(plan->keys[idx])) {
+        mine.push_back(idx);
+      } else {
+        (*defer)[idx] = 1;  // the sibling chase moved us off this key
+      }
+    }
+    co_await (*step)(*locked, buf.data(), std::move(mine));
+  } else {
+    for (size_t idx : idxs) (*defer)[idx] = 1;
+  }
+  latch->Arrive();
+}
+
+sim::Task<Status> TreeClient::MultiGet(std::vector<Key> keys,
+                                       std::vector<MultiGetResult>* out,
+                                       OpStats* stats) {
+  const rdma::FabricConfig& f = system_->fabric_.config();
+  out->assign(keys.size(), MultiGetResult{});
+  if (keys.empty()) co_return Status::OK();
+  for (Key k : keys) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
+  EpochPin pin(&system_->reclaim_, cs_id_);
+  co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
+
+  BatchPlan plan;
+  co_await PlanBatch(keys, &plan, stats);
+  LeafFetch fetch;
+  co_await FetchPlannedLeaves(plan, &fetch, stats);
+
+  // Validate locally; anything stale or torn falls back.
   std::vector<size_t> retry;
-  for (size_t i = 0; i < n; i++) {
-    if (key_buf[i] == SIZE_MAX) {
-      // Planning failed (e.g. restarts exhausted under churn); the
-      // singleton path retries from scratch with its own bounds.
+  for (size_t i = 0; i < keys.size(); i++) {
+    uint8_t* buf = FetchedLeafFor(fetch, i, keys[i], stats);
+    if (buf == nullptr) {
       retry.push_back(i);
       continue;
     }
-    uint8_t* buf = bufs[key_buf[i]].data();
-    NodeView view(buf, &o.shape);
-    if (slow_fetch || !NodeConsistent(buf)) {
+    const NodeView view(buf, &opt().shape);
+    uint64_t value = 0;
+    Status st = co_await LookupInLeaf(view, keys[i], &value);
+    if (st.IsRetry()) {
       if (stats != nullptr) stats->read_retries++;
       retry.push_back(i);
       continue;
     }
-    if (view.is_free() || !view.is_leaf() || !view.InFence(keys[i])) {
-      cache_.InvalidateLevel1Covering(keys[i]);
-      retry.push_back(i);
-      continue;
-    }
-    if (o.two_level_versions) {
-      co_await sim.Delay(f.cpu_leaf_scan_ns);
-      NodeView::SlotResult slot = view.FindLeafSlot(keys[i]);
-      if (slot.match == UINT32_MAX) {
-        (*out)[i].status = Status::NotFound();
-        continue;
-      }
-      if (!view.LeafEntryVersionsMatch(slot.match)) {
-        if (stats != nullptr) stats->read_retries++;
-        retry.push_back(i);
-        continue;
-      }
-      (*out)[i].status = Status::OK();
-      (*out)[i].value = view.LeafValue(slot.match);
-    } else {
-      co_await sim.Delay(f.cpu_node_search_ns);
-      const uint32_t at = view.SortedLeafFind(keys[i]);
-      if (at == UINT32_MAX) {
-        (*out)[i].status = Status::NotFound();
-      } else {
-        (*out)[i].status = Status::OK();
-        (*out)[i].value = view.LeafValue(at);
-      }
-    }
+    (*out)[i].status = st;
+    if (st.ok()) (*out)[i].value = value;
   }
 
-  // Phase 4 — re-serve the stragglers op-at-a-time (handles splits,
-  // sibling chases, and version churn with the full retry machinery).
+  // Re-serve the stragglers op-at-a-time (handles splits, sibling chases,
+  // and version churn with the full retry machinery).
   SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr,
                 "multiget.fallback", retry.size());
   Status overall = Status::OK();
@@ -1841,68 +1729,6 @@ sim::Task<Status> TreeClient::MultiGet(std::vector<Key> keys,
   co_return overall;
 }
 
-sim::Task<void> TreeClient::ApplyInsertGroup(
-    rdma::GlobalAddress addr, std::vector<size_t> idxs,
-    const std::vector<std::pair<Key, uint64_t>>* kvs,
-    std::vector<uint8_t>* defer, OpStats* stats, sim::CountdownLatch* latch) {
-  const TreeOptions& o = opt();
-  const rdma::FabricConfig& f = system_->fabric_.config();
-  std::vector<uint8_t> buf(node_size());
-  const Key first_key = (*kvs)[idxs[0]].first;
-  StatusOr<Locked> locked_r =
-      co_await LockAndRead(addr, first_key, buf.data(), stats);
-  if (!locked_r.ok()) {
-    for (size_t idx : idxs) (*defer)[idx] = 1;
-    latch->Arrive();
-    co_return;
-  }
-  Locked locked = *locked_r;
-  NodeView view(buf.data(), &o.shape);
-
-  std::vector<rdma::WorkRequest> wrs;
-  bool whole_node = false;
-  for (size_t idx : idxs) {
-    const Key key = (*kvs)[idx].first;
-    const uint64_t value = (*kvs)[idx].second;
-    if (!view.InFence(key)) {  // sibling chase moved us off this key
-      (*defer)[idx] = 1;
-      continue;
-    }
-    if (o.two_level_versions) {
-      co_await system_->fabric_.simulator().Delay(f.cpu_leaf_scan_ns);
-      NodeView::SlotResult slot = view.FindLeafSlot(key);
-      const uint32_t i = slot.match != UINT32_MAX ? slot.match : slot.empty;
-      if (i == UINT32_MAX) {  // full: the split goes through Insert()
-        (*defer)[idx] = 1;
-        continue;
-      }
-      view.SetLeafEntry(i, key, value);
-      const uint32_t off = view.LeafEntryOffset(i);
-      const uint32_t entry_size = o.shape.leaf_entry_size();
-      if (stats != nullptr) stats->bytes_written += entry_size;
-      wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(off),
-                                             buf.data() + off, entry_size));
-    } else {
-      co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-      if (!view.SortedLeafInsert(key, value)) {
-        (*defer)[idx] = 1;
-        continue;
-      }
-      whole_node = true;
-    }
-  }
-  if (whole_node) {
-    SealNode(view, /*structural_change=*/false);
-    if (stats != nullptr) stats->bytes_written += node_size();
-    wrs.clear();
-    wrs.push_back(
-        rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-  }
-  co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                        stats);
-  latch->Arrive();
-}
-
 sim::Task<Status> TreeClient::MultiInsert(
     std::vector<std::pair<Key, uint64_t>> kvs, OpStats* stats) {
   const rdma::FabricConfig& f = system_->fabric_.config();
@@ -1911,54 +1737,33 @@ sim::Task<Status> TreeClient::MultiInsert(
   EpochPin pin(&system_->reclaim_, cs_id_);
   co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
 
-  // Phase 1 — plan leaves concurrently, one descent per DISTINCT key
-  // (same as MultiGet).
+  // Plan leaves, then apply each leaf group under one lock, groups in
+  // parallel. Within a group the entry write-backs and the lock release
+  // combine into a single doorbell batch.
   const size_t n = kvs.size();
-  std::map<Key, size_t> plan_of;  // key -> plan slot
-  std::vector<Key> uniq;
-  for (const auto& [k, v] : kvs) {
-    auto [it, inserted] = plan_of.try_emplace(k, uniq.size());
-    if (inserted) uniq.push_back(k);
-  }
-  std::vector<LeafRef> refs(uniq.size());
-  std::vector<Status> plan_st(uniq.size(), Status::OK());
-  {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.plan",
-                  uniq.size());
-    sim::CountdownLatch latch(uniq.size());
-    for (size_t j = 0; j < uniq.size(); j++) {
-      sim::Spawn(PlanLeafInto(uniq[j], &refs[j], &plan_st[j], stats, &latch));
-    }
-    co_await latch.Wait();
-  }
-
-  // Phase 2 — group by target leaf and apply each group under one lock,
-  // groups in parallel. Within a group the entry write-backs and the lock
-  // release combine into a single doorbell batch.
+  std::vector<Key> keys(n);
+  for (size_t i = 0; i < n; i++) keys[i] = kvs[i].first;
+  BatchPlan plan;
+  co_await PlanBatch(std::move(keys), &plan, stats);
   std::vector<uint8_t> defer(n, 0);
-  std::map<uint64_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < n; i++) {
-    const size_t j = plan_of[kvs[i].first];
-    if (plan_st[j].ok()) {
-      groups[refs[j].addr.ToU64()].push_back(i);
-    } else {
-      defer[i] = 1;
-    }
-  }
-  if (!groups.empty()) {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.apply",
-                  groups.size());
-    sim::CountdownLatch latch(groups.size());
-    for (auto& [addr_u64, idxs] : groups) {
-      sim::Spawn(ApplyInsertGroup(rdma::GlobalAddress::FromU64(addr_u64),
-                                  std::move(idxs), &kvs, &defer, stats,
-                                  &latch));
-    }
-    co_await latch.Wait();
-  }
+  co_await ApplyGroups(
+      plan, &defer, stats,
+      [&](Locked locked, uint8_t* buf,
+          std::vector<size_t> idxs) -> sim::Task<void> {
+        NodeView view(buf, &opt().shape);
+        LeafEdit edit;
+        for (size_t idx : idxs) {
+          // A full leaf defers the key: the split goes through Insert().
+          if (!co_await StagePut(view, locked, kvs[idx].first,
+                                 kvs[idx].second, &edit)) {
+            defer[idx] = 1;
+          }
+        }
+        co_await WriteBackAndUnlock(locked, buf, std::move(edit), stats);
+      });
 
-  // Phase 3 — deferred keys (splits, fence moves, plan failures) go
-  // through the full op-at-a-time insert.
+  // Deferred keys (splits, fence moves, plan failures) go through the full
+  // op-at-a-time insert.
   for (size_t i = 0; i < n; i++) {
     if (!defer[i]) continue;
     Status st = co_await Insert(kvs[i].first, kvs[i].second, stats);

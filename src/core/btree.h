@@ -26,6 +26,7 @@
 #define SHERMAN_CORE_BTREE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -295,6 +296,9 @@ class TreeClient {
     bool owned = false;
   };
 
+  // Bound on B-link sibling hops per traversal step (every chase loop).
+  static constexpr int kMaxSiblingChase = 64;
+
   const TreeOptions& opt() const;
   rdma::Qp& QpFor(rdma::GlobalAddress addr);
   uint32_t node_size() const { return opt().shape.node_size; }
@@ -354,6 +358,61 @@ class TreeClient {
                                           uint8_t* buf, OpStats* stats,
                                           uint8_t level = 0);
 
+  // --- op skeletons shared by the fixed and varlen layouts ---
+
+  // Locked-write loop: resolves the leaf covering `key` (hints only on
+  // attempt 0), then LockAndRead()s it into `buf`. A dead end restarts:
+  // a hinted start leaves the mirror, and from attempt 2 on the cached
+  // root is refreshed too (a root that was still a leaf, or a since-merged
+  // node, when loaded would otherwise be returned forever).
+  sim::Task<StatusOr<Locked>> LockLeafFor(Key key, uint8_t* buf,
+                                          OpStats* stats);
+  // A layout's answer to a point read from a validated leaf covering the
+  // key; Retry asks the read loop to re-read that leaf.
+  using LeafServe = std::function<sim::Task<Status>(const NodeView&)>;
+  // Lock-free read loop: resolves the leaf covering `key`, reads it
+  // checked into `buf`, restarts on tombstones / role changes / keys left
+  // of the fence, chases B-link siblings, keeps the hint mirror honest,
+  // bounds leaf re-reads, and probes the lock of a tombstone it keeps
+  // bouncing off (see ProbeLockForRecovery). `serve` answers the op.
+  sim::Task<Status> ReadLeafFor(Key key, uint8_t* buf, OpStats* stats,
+                                LeafServe serve);
+  // Fixed layout's point read from a validated leaf: OK with *value,
+  // NotFound, or Retry for a torn entry (two-level versions).
+  sim::Task<Status> LookupInLeaf(const NodeView& view, Key key,
+                                 uint64_t* value);
+
+  // Write-backs staged against one locked leaf by the leaf mutations.
+  struct LeafEdit {
+    std::vector<rdma::WorkRequest> wrs;  // per-entry writes (two-level)
+    uint64_t bytes = 0;                  // bytes carried by `wrs`
+    bool whole_node = false;             // reseal + write the whole node
+    uint32_t removed = 0;                // deletes applied
+    uint32_t shift_from = UINT32_MAX;    // sorted deletes: leftmost slot
+    uint32_t count_before = 0;           // sorted deletes: original count
+  };
+  // Fixed-layout leaf mutations (one key each): an unsorted entry write or
+  // a sorted shift-insert / shift-remove. StagePut returns false when the
+  // leaf is full; StageDelete when the key is absent.
+  sim::Task<bool> StagePut(NodeView& view, const Locked& locked, Key key,
+                           uint64_t value, LeafEdit* edit);
+  sim::Task<bool> StageDelete(NodeView& view, const Locked& locked, Key key,
+                              LeafEdit* edit);
+  // Varlen put into a slotted leaf (inline bytes, or the packed pointer of
+  // the already-appended extent `vptr`); false when the leaf is full.
+  // *old_ptr gets the out-of-line extent the key referenced before.
+  sim::Task<bool> StageVarPut(NodeView& view, Slice key, Slice value,
+                              uint64_t vptr,
+                              LeafEdit* edit, uint64_t* old_ptr);
+  // Releases a locked leaf with the staged write-backs riding the release
+  // (whole-node edits are resealed first; sorted deletes write the header
+  // and the shifted suffix). `deletes` runs the merge logic first: an
+  // edit that removed entries and left the leaf underflowed merges it
+  // into its left sibling instead.
+  sim::Task<void> WriteBackAndUnlock(const Locked& locked, uint8_t* buf,
+                                     LeafEdit edit, OpStats* stats,
+                                     bool deletes = false);
+
   // --- delete-path leaf merging (space reclamation) ---
 
   // Do `a` and `b` hash onto the same HOCL lock lane?
@@ -370,9 +429,8 @@ class TreeClient {
                                std::vector<rdma::WorkRequest> write_backs,
                                OpStats* stats);
 
-  // Should the locked leaf in `view` (with `live` remaining entries) be
-  // merged into its left sibling?
-  bool MergeCandidate(const NodeView& view, uint32_t live) const;
+  // Should the locked leaf in `view` be merged into its left sibling?
+  bool MergeCandidate(const NodeView& view) const;
   // Abort throttling: an aborted merge (leftmost child, unfit sibling, a
   // race) would otherwise re-attempt — and re-abort, at several round
   // trips a try — on every subsequent delete of the still-underflowed
@@ -392,12 +450,20 @@ class TreeClient {
   sim::Task<bool> TryMergeLeafLocked(const Locked& locked, uint8_t* buf,
                                      OpStats* stats);
 
-  // Leaf split under lock (Figure 7, lines 18-35): allocates the sibling,
-  // distributes entries, writes both nodes (+combined release), then
-  // ascends.
+  // Leaf split under lock (Figure 7, lines 18-35): distributes the
+  // entries plus the pending pair over two halves and commits them.
   sim::Task<Status> SplitLeafAndUnlock(Locked locked, std::vector<uint8_t> buf,
                                        Key key, uint64_t value,
                                        OpStats* stats);
+  // Split commit shared by leaf and internal splits of either layout:
+  // `left` holds the LOCKED node's lower half, fences [lo, sep), sibling
+  // unset; `right` the upper half, fences [sep, hi). Allocates the right
+  // node, anchors a kSplit intent, writes both halves (one doorbell with
+  // the release when same-MS), bumps the node version past
+  // `old_version`, then ascends and (leaves) publishes a hint.
+  sim::Task<Status> CommitSplitAndUnlock(Locked locked, uint8_t* left,
+                                         uint8_t* right, uint8_t old_version,
+                                         OpStats* stats);
 
   // Inserts (sep -> child) into the internal level `level`, splitting and
   // recursing upward as needed.
@@ -426,32 +492,57 @@ class TreeClient {
   sim::Task<void> ProbeLockForRecovery(rdma::GlobalAddress addr,
                                        OpStats* stats);
 
-  // --- batch-op plumbing (MultiGet / MultiInsert) ---
+  // --- batch-op plumbing (every Multi* op) ---
 
+  // Plan phase: every DISTINCT routing key resolved to its leaf, the
+  // descents running concurrently. kNullKey entries are not planned.
+  struct BatchPlan {
+    std::vector<Key> keys;     // routing key per batch index
+    std::vector<size_t> slot;  // batch index -> distinct key, or SIZE_MAX
+    std::vector<LeafRef> refs;  // per distinct key
+    std::vector<Status> st;
+    bool ok(size_t i) const { return slot[i] != SIZE_MAX && st[slot[i]].ok(); }
+    rdma::GlobalAddress addr(size_t i) const { return refs[slot[i]].addr; }
+  };
+  sim::Task<void> PlanBatch(std::vector<Key> keys, BatchPlan* plan,
+                            OpStats* stats);
   // Concurrent planning step: resolves `key` to its leaf and stores the
   // result; always arrives at the latch.
   sim::Task<void> PlanLeafInto(Key key, LeafRef* ref, Status* st,
                                OpStats* stats, sim::CountdownLatch* latch);
+
+  // Fetch phase of the batched reads: every distinct planned leaf read
+  // with one doorbell-batched READ list per MS.
+  struct LeafFetch {
+    std::vector<std::vector<uint8_t>> bufs;  // one per distinct leaf
+    std::vector<size_t> key_buf;  // batch index -> buffer, or SIZE_MAX
+    bool slow = false;            // the fetch outlasted the wrap guard
+  };
+  sim::Task<void> FetchPlannedLeaves(const BatchPlan& plan, LeafFetch* fetch,
+                                     OpStats* stats);
   // Posts one doorbell-batched READ list to `ms_node` and arrives.
   sim::Task<void> PostReadsInto(uint16_t ms_node,
                                 std::vector<rdma::WorkRequest> wrs,
                                 OpStats* stats, sim::CountdownLatch* latch);
-  // Applies one MultiInsert leaf group under a single lock; keys the leaf
-  // cannot serve get their `defer` flag set for the singleton fallback.
-  sim::Task<void> ApplyInsertGroup(rdma::GlobalAddress addr,
-                                   std::vector<size_t> idxs,
-                                   const std::vector<std::pair<Key, uint64_t>>* kvs,
-                                   std::vector<uint8_t>* defer, OpStats* stats,
-                                   sim::CountdownLatch* latch);
-  // Clears one MultiDelete leaf group's entries under a single lock (and
-  // runs the merge logic on underflow); unservable keys get `defer` set
-  // for the singleton fallback.
-  sim::Task<void> ApplyDeleteGroup(rdma::GlobalAddress addr,
-                                   std::vector<size_t> idxs,
-                                   const std::vector<Key>* keys,
-                                   std::vector<Status>* out,
-                                   std::vector<uint8_t>* defer, OpStats* stats,
-                                   sim::CountdownLatch* latch);
+  // The fetched leaf of batch key `i` when it validates for routing key
+  // `key`; null sends the key to the singleton fallback.
+  uint8_t* FetchedLeafFor(LeafFetch& fetch, size_t i, Key key, OpStats* stats);
+
+  // A layout's work on one locked leaf group: the batch indices it got
+  // are in the leaf's fences.
+  using GroupStep = std::function<sim::Task<void>(Locked, uint8_t*,
+                                                  std::vector<size_t>)>;
+  // Apply phase of the batched writes: groups the planned keys by leaf and
+  // runs `step` on each group concurrently, each under one lock. Unplanned
+  // keys, and keys a group cannot serve, get `defer` set for the singleton
+  // fallback.
+  sim::Task<void> ApplyGroups(const BatchPlan& plan,
+                              std::vector<uint8_t>* defer, OpStats* stats,
+                              GroupStep step);
+  sim::Task<void> ApplyGroup(rdma::GlobalAddress addr, std::vector<size_t> idxs,
+                             const BatchPlan* plan, std::vector<uint8_t>* defer,
+                             OpStats* stats, const GroupStep* step,
+                             sim::CountdownLatch* latch);
 
   // --- varlen plumbing (btree_varlen.cc) ---
 
@@ -459,15 +550,12 @@ class TreeClient {
   Status CheckVarKey(const Slice& key, Key* rk) const;
   // Leaf split for slotted pages: re-distributes by BYTE budget, cutting
   // only at a routing-key boundary (keys sharing a routing key must share
-  // a leaf); reuses the kSplit intent + InsertInternal ascent. `payload`
-  // is the staged heap payload of the pending insert (inline bytes or
-  // packed pointer).
+  // a leaf), then commits like a fixed split. The pending insert is
+  // (key, value) stored inline, or out-of-line at `vptr` when non-zero.
   sim::Task<Status> SplitVarLeafAndUnlock(Locked locked,
                                           std::vector<uint8_t> buf,
-                                          const Slice& key,
-                                          const uint8_t* payload,
-                                          uint32_t payload_len, uint16_t vlen,
-                                          bool outline, OpStats* stats);
+                                          const Slice& key, const Slice& value,
+                                          uint64_t vptr, OpStats* stats);
   // Resolves slot `i` of a validated leaf view to value bytes (inline copy
   // or one vlog READ). Corruption = the extent was concurrently relocated;
   // the caller re-reads the leaf.
@@ -478,13 +566,6 @@ class TreeClient {
   sim::Task<void> ResolveVarInto(uint64_t ptr, const std::string* key,
                                  uint16_t vlen, VarGetResult* out,
                                  OpStats* stats, sim::CountdownLatch* latch);
-  // MultiInsertVar group apply (one lock, whole-node write-back).
-  sim::Task<void> ApplyVarInsertGroup(
-      rdma::GlobalAddress addr, std::vector<size_t> idxs,
-      const std::vector<std::pair<std::string, std::string>>* kvs,
-      const std::vector<uint64_t>* vptrs, std::vector<uint8_t>* defer,
-      std::vector<uint64_t>* retired, OpStats* stats,
-      sim::CountdownLatch* latch);
   // GC of one claimed victim segment on `ms`.
   sim::Task<Status> GcVictimSegment(uint16_t ms, uint64_t base, uint32_t cls,
                                     uint32_t used, uint64_t* relocated,

@@ -2,43 +2,32 @@
 // string-keyed point/batch/scan ops over slotted-page leaves, the
 // pointer-swizzle read fast path, and the value-log GC driver.
 //
-// The fixed-size ops live in core/btree.cc; this file reuses every
-// traversal, lock, intent, and crash-site primitive so varlen trees pay
+// The fixed-size ops live in core/btree.cc. This file keeps only what the
+// slotted layout does differently — its leaf codec, the value-log
+// append/retire around each write, and the byte-budget split point — and
+// runs them through btree.cc's op skeletons (LockLeafFor, ReadLeafFor, the
+// batch plan/fetch/group phases, CommitSplitAndUnlock), so varlen trees pay
 // the same simulated round trips and recover through the same machinery.
 // Routing is unchanged u64 B-link traversal on RoutingKeyFor(key): keys
 // sharing a routing key always share a leaf, so internal nodes, fences,
 // the index cache, and the recoverer never see a byte string.
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/btree.h"
-#include "fault/crash_point.h"
 #include "util/logging.h"
 #include "vlog/vlog.h"
 
 namespace sherman {
 
 namespace {
-constexpr int kMaxSiblingChase = 64;  // matches btree.cc
-// Cap on READs per doorbell ring (real NIC postlists are bounded).
-constexpr size_t kMaxReadBatch = 16;
 // Swizzle-hint map bound; overflow clears (hints are speculative and
 // re-validated against the leaf on every use, so losing them only costs
 // the second round trip they would have saved).
 constexpr size_t kVptrCacheCap = 4096;
-
-// Varlen leaf splits hit the same remote-write milestones as fixed ones;
-// RegisterCrashSite is idempotent by name, so these resolve to the ids
-// btree.cc registered and the recover_test sweep / SHERMAN_CRASH_AT cover
-// both paths with one site set.
-const int kCrashSplitIntent = fault::RegisterCrashSite("split.intent");
-const int kCrashSplitSibling = fault::RegisterCrashSite("split.sibling");
-const int kCrashSplitLeaf = fault::RegisterCrashSite("split.leaf");
-const int kCrashSplitLinked = fault::RegisterCrashSite("split.linked");
 
 uint32_t LcpLen(const std::string& a, const std::string& b) {
   const size_t n = std::min(a.size(), b.size());
@@ -77,6 +66,30 @@ void TreeClient::ForgetVptr(const std::string& key) { vptr_cache_.erase(key); }
 
 // --- InsertVar --------------------------------------------------------------
 
+sim::Task<bool> TreeClient::StageVarPut(NodeView& view, Slice key,
+                                        Slice value, uint64_t vptr,
+                                        LeafEdit* edit, uint64_t* old_ptr) {
+  const rdma::FabricConfig& f = system_->fabric_.config();
+  co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
+  // An update replacing an out-of-line value must retire the old extent —
+  // but only AFTER the repointed leaf has published (readers holding the
+  // old pointer are epoch-pinned); the caller owns that.
+  const uint32_t at = view.VarFind(key);
+  *old_ptr = at != UINT32_MAX && view.VarOutline(at) ? view.VarVlogPtr(at) : 0;
+  uint8_t ptr_buf[8];
+  std::memcpy(ptr_buf, &vptr, 8);
+  const bool outline = vptr != 0;
+  if (!view.VarInsert(key,
+                      outline ? ptr_buf
+                              : reinterpret_cast<const uint8_t*>(value.data()),
+                      outline ? 8 : static_cast<uint32_t>(value.size()),
+                      static_cast<uint16_t>(value.size()), outline)) {
+    co_return false;
+  }
+  edit->whole_node = true;
+  co_return true;
+}
+
 sim::Task<Status> TreeClient::InsertVar(const Slice& key, const Slice& value,
                                         OpStats* stats) {
   Key rk = 0;
@@ -98,93 +111,47 @@ sim::Task<Status> TreeClient::InsertVar(const Slice& key, const Slice& value,
   // Out-of-line values append BEFORE the leaf lock: the extent is private
   // until a leaf slot points at it, so a failed insert just retires it and
   // the append's round trip stays outside the lock hold time.
-  const uint16_t vlen = static_cast<uint16_t>(value.size());
   uint64_t vptr = 0;
-  uint8_t ptr_buf[8];
-  const uint8_t* payload = reinterpret_cast<const uint8_t*>(value.data());
-  uint32_t payload_len = vlen;
   if (outline) {
     StatusOr<uint64_t> p = co_await vlog_->Append(
         key, value, NodeView::VarFingerprint(key), stats);
     if (!p.ok()) co_return p.status();
     vptr = *p;
-    std::memcpy(ptr_buf, &vptr, 8);
-    payload = ptr_buf;
-    payload_len = 8;
   }
 
-  const std::string key_str(key.data(), key.size());
-  for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
-    StatusOr<LeafRef> leaf_r =
-        co_await FindLeafAddr(rk, stats, /*allow_hint=*/attempt == 0);
-    if (!leaf_r.ok()) {
-      if (outline) co_await vlog_->Retire(vptr, stats);
-      co_return leaf_r.status();
-    }
-    std::vector<uint8_t> buf(node_size());
-    StatusOr<Locked> locked_r =
-        co_await LockAndRead(leaf_r->addr, rk, buf.data(), stats);
-    if (!locked_r.ok()) {
-      if (locked_r.status().IsRetry()) {
-        if (leaf_r->via_hint) NoteHintStale(rk);
-        if (attempt >= 2) root_known_ = false;  // stale root (see Insert)
-        continue;
-      }
-      if (outline) co_await vlog_->Retire(vptr, stats);
-      co_return locked_r.status();
-    }
-    Locked locked = *locked_r;
+  std::vector<uint8_t> buf(node_size());
+  StatusOr<Locked> locked = co_await LockLeafFor(rk, buf.data(), stats);
+  uint64_t old_ptr = 0;
+  if (!locked.ok()) {
+    st = locked.status();
+  } else {
     NodeView view(buf.data(), &o.shape);
-
-    co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-    // An update replacing an out-of-line value must retire the old extent
-    // — but only AFTER the repointed leaf has published (readers holding
-    // the old pointer are epoch-pinned).
-    uint64_t old_ptr = 0;
-    {
-      const uint32_t at = view.VarFind(key);
-      if (at != UINT32_MAX && view.VarOutline(at)) {
-        old_ptr = view.VarVlogPtr(at);
-      }
+    LeafEdit edit;
+    if (co_await StageVarPut(view, key, value, vptr, &edit, &old_ptr)) {
+      co_await WriteBackAndUnlock(*locked, buf.data(), std::move(edit), stats);
+      st = Status::OK();
+    } else {
+      st = co_await SplitVarLeafAndUnlock(*locked, std::move(buf), key, value,
+                                          vptr, stats);
     }
-    if (view.VarInsert(key, payload, payload_len, vlen, outline)) {
-      SealNode(view, /*structural_change=*/false);
-      if (stats != nullptr) stats->bytes_written += node_size();
-      std::vector<rdma::WorkRequest> wrs;
-      wrs.push_back(
-          rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-      co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                            stats);
-      if (old_ptr != 0) co_await vlog_->Retire(old_ptr, stats);
-      if (outline) {
-        RememberVptr(key_str, vptr, vlen);
-      } else {
-        ForgetVptr(key_str);
-      }
-      co_return Status::OK();
-    }
-    st = co_await SplitVarLeafAndUnlock(locked, std::move(buf), key, payload,
-                                        payload_len, vlen, outline, stats);
-    if (st.ok()) {
-      if (old_ptr != 0) co_await vlog_->Retire(old_ptr, stats);
-      if (outline) {
-        RememberVptr(key_str, vptr, vlen);
-      } else {
-        ForgetVptr(key_str);
-      }
-    } else if (outline) {
-      co_await vlog_->Retire(vptr, stats);  // orphan: never referenced
-    }
+  }
+  if (!st.ok()) {
+    if (outline) co_await vlog_->Retire(vptr, stats);  // never referenced
     co_return st;
   }
-  if (outline) co_await vlog_->Retire(vptr, stats);
-  co_return Status::Internal("insert restarts exhausted");
+  if (old_ptr != 0) co_await vlog_->Retire(old_ptr, stats);
+  const std::string key_str(key.data(), key.size());
+  if (outline) {
+    RememberVptr(key_str, vptr, static_cast<uint16_t>(value.size()));
+  } else {
+    ForgetVptr(key_str);
+  }
+  co_return Status::OK();
 }
 
 sim::Task<Status> TreeClient::SplitVarLeafAndUnlock(
     Locked locked, std::vector<uint8_t> buf, const Slice& key,
-    const uint8_t* payload, uint32_t payload_len, uint16_t vlen, bool outline,
-    OpStats* stats) {
+    const Slice& value, uint64_t vptr, OpStats* stats) {
   SHERMAN_TEVENT(stats != nullptr ? stats->trace : nullptr, "tree.split_leaf");
   const TreeOptions& o = opt();
   const rdma::FabricConfig& f = system_->fabric_.config();
@@ -196,9 +163,14 @@ sim::Task<Status> TreeClient::SplitVarLeafAndUnlock(
   std::vector<VarEntry> entries = ExtractVarEntries(view);
   VarEntry pending;
   pending.key.assign(key.data(), key.size());
-  pending.payload.assign(payload, payload + payload_len);
-  pending.vlen = vlen;
-  pending.outline = outline;
+  pending.outline = vptr != 0;
+  if (pending.outline) {
+    pending.payload.resize(8);
+    std::memcpy(pending.payload.data(), &vptr, 8);
+  } else {
+    pending.payload.assign(value.data(), value.data() + value.size());
+  }
+  pending.vlen = static_cast<uint16_t>(value.size());
   bool replaced = false;
   for (auto& e : entries) {
     if (e.key == pending.key) {
@@ -254,92 +226,20 @@ sim::Task<Status> TreeClient::SplitVarLeafAndUnlock(
     co_return Status::InvalidArgument(
         "keys sharing one routing key exceed leaf capacity");
   }
+
+  // Upper part -> the new right node, lower part stays here.
   const Key split_key = RoutingKeyFor(entries[cut].key);
-
-  const rdma::GlobalAddress sib_addr = co_await allocator_.Alloc(node_size());
-  if (sib_addr.is_null()) {
-    co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
-    co_return Status::OutOfMemory("disaggregated memory exhausted");
-  }
-
-  const Key old_lo = view.lo_fence();
-  const Key old_hi = view.hi_fence();
-  const rdma::GlobalAddress old_sibling = view.sibling();
-  const uint8_t new_version = (view.front_version() + 1) & 0xf;
-
-  // Anchor the split before its first remote write (see SplitLeafAndUnlock;
-  // RecoverSplit replays the u64 separator, which is all it needs — the
-  // byte keys live only inside the two leaves).
-  recover::IntentRecord intent;
-  intent.op = recover::IntentOp::kSplit;
-  intent.level = 0;
-  intent.lo = old_lo;
-  intent.hi = old_hi;
-  intent.primary = locked.addr;
-  intent.second = sib_addr;
-  intent.aux = split_key;
-  const int intent_slot = co_await intents_.Publish(intent, stats);
-  co_await fault::Injector().AtSite(kCrashSplitIntent, cs_id_);
-
-  // Build the sibling: upper part, fences [split_key, old_hi).
-  std::vector<uint8_t> sib_buf(node_size());
-  NodeView sib(sib_buf.data(), &o.shape);
-  sib.InitLeaf(split_key, old_hi, old_sibling);
+  std::vector<uint8_t> right_buf(node_size());
+  NodeView right(right_buf.data(), &o.shape);
+  right.InitLeaf(split_key, view.hi_fence(), view.sibling());
   SHERMAN_CHECK(BuildVarLeaf(
-      &sib, std::vector<VarEntry>(entries.begin() + cut, entries.end())));
-  if (o.consistency == TreeOptions::Consistency::kChecksum) {
-    sib.UpdateChecksum();
-  }
-
-  // Rebuild this node: lower part, fences [old_lo, split_key).
-  view.InitLeaf(old_lo, split_key, sib_addr);
+      &right, std::vector<VarEntry>(entries.begin() + cut, entries.end())));
+  const uint8_t old_version = view.front_version();
+  view.InitLeaf(view.lo_fence(), split_key, rdma::kNullAddress);
   entries.resize(cut);
   SHERMAN_CHECK(BuildVarLeaf(&view, entries));
-  buf[kOffFnv] = new_version;
-  buf[o.shape.node_size - 1] = new_version;
-  if (o.consistency == TreeOptions::Consistency::kChecksum) {
-    view.UpdateChecksum();
-  }
-  if (stats != nullptr) stats->bytes_written += 2ull * node_size();
-
-  // Same-MS siblings ride the commit batch; cross-MS ones publish with
-  // their own awaited WRITE (see the fixed split's rationale).
-  std::vector<rdma::WorkRequest> wrs;
-  if (sib_addr.node == locked.addr.node) {
-    wrs.push_back(
-        rdma::WorkRequest::Write(sib_addr, sib_buf.data(), node_size()));
-    wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
-  } else {
-    rdma::WorkRequest sw =
-        rdma::WorkRequest::Write(sib_addr, sib_buf.data(), node_size());
-    sw.intent_slot = static_cast<uint8_t>(intent_slot);
-    rdma::RdmaResult r = co_await QpFor(sib_addr).Post(sw);
-    if (stats != nullptr) stats->round_trips++;
-    SHERMAN_CHECK(r.status.ok());
-    co_await fault::Injector().AtSite(kCrashSplitSibling, cs_id_);
-  }
-  wrs.push_back(
-      rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-  wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
-  co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                        stats);
-  if (dmsan::Active()) {
-    if (dmsan::Checker* dc = dmsan::Find(&system_->fabric_.simulator())) {
-      dc->PublishNode(sib_addr, /*level=*/0);
-    }
-  }
-  co_await fault::Injector().AtSite(kCrashSplitLeaf, cs_id_);
-
-  Status st = co_await InsertInternal(split_key, sib_addr,
-                                      static_cast<uint8_t>(view.level() + 1),
-                                      stats);
-  co_await fault::Injector().AtSite(kCrashSplitLinked, cs_id_);
-  intents_.ClearAsync(intent_slot);
-  // Advisory hint for the new sibling, after the intent clears (mirrors
-  // the fixed-size split; a crash mid-publish leaves the committed split
-  // merely unhinted).
-  co_await HintPublish(sib_addr, split_key, stats);
-  co_return st;
+  co_return co_await CommitSplitAndUnlock(locked, buf.data(), right_buf.data(),
+                                          old_version, stats);
 }
 
 // --- LookupVar --------------------------------------------------------------
@@ -450,65 +350,17 @@ sim::Task<Status> TreeClient::LookupVar(const Slice& key, std::string* value,
     }
   }
 
-  rdma::GlobalAddress probe_addr;  // last tombstone this lookup bounced off
-  for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
-    StatusOr<LeafRef> leaf_r =
-        co_await FindLeafAddr(rk, stats, /*allow_hint=*/attempt == 0);
-    if (!leaf_r.ok()) co_return leaf_r.status();
-    rdma::GlobalAddress addr = leaf_r->addr;
-
-    bool restart = false;
-    uint32_t entry_retries = 0;
-    for (int chase = 0; chase < kMaxSiblingChase && !restart; chase++) {
-      Status rst = co_await ReadNodeChecked(addr, buf.data(), stats);
-      if (!rst.ok()) co_return rst;
-      NodeView view(buf.data(), &o.shape);
-      if (view.is_free() || !view.is_leaf() || rk < view.lo_fence()) {
-        cache_.InvalidateLevel1Covering(rk);
-        if (leaf_r->via_hint && chase == 0) NoteHintStale(rk);
-        if (view.is_free()) probe_addr = addr;
-        if (attempt >= 2) root_known_ = false;  // stale root (see Insert)
-        restart = true;
-        break;
-      }
-      if (rk >= view.hi_fence()) {
-        cache_.InvalidateLevel1Covering(rk);
-        if (leaf_r->via_hint && chase == 0) NoteHintChase();
-        if (view.sibling().is_null()) {
-          restart = true;
-          break;
-        }
-        addr = view.sibling();
-        continue;
-      }
-      co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-      const uint32_t at = view.VarFind(key);
-      if (at == UINT32_MAX) co_return Status::NotFound();
-      rst = co_await ResolveVarValue(view, at, key, value, stats);
-      if (rst.IsCorruption()) {
-        // The extent moved between the leaf read and the value read (an
-        // update or GC); the re-read leaf carries the fresh pointer.
-        if (stats != nullptr) stats->read_retries++;
-        if (++entry_retries > o.max_read_retries) {
-          co_return Status::TimedOut("vlog read retries exhausted");
-        }
-        chase--;
-        continue;
-      }
-      co_return rst;
-    }
-    if (!restart) {
-      // Chase bound exhausted from a hinted start: the mirror predecessor
-      // was across a hint-table hole, not this key's leaf (see Lookup).
-      if (leaf_r->via_hint) NoteHintStale(rk);
-      if (attempt >= 2) root_known_ = false;
-    }
-    if (!probe_addr.is_null() && (attempt & 7) == 7) {
-      co_await ProbeLockForRecovery(probe_addr, stats);
-      probe_addr = rdma::GlobalAddress();
-    }
-  }
-  co_return Status::Internal("lookup restarts exhausted");
+  co_return co_await ReadLeafFor(
+      rk, buf.data(), stats,
+      [&](const NodeView& view) -> sim::Task<Status> {
+        co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
+        const uint32_t at = view.VarFind(key);
+        if (at == UINT32_MAX) co_return Status::NotFound();
+        // Corruption: the extent moved between the leaf read and the value
+        // read (an update or GC); the re-read leaf has the fresh pointer.
+        Status rst = co_await ResolveVarValue(view, at, key, value, stats);
+        co_return rst.IsCorruption() ? Status::Retry("value relocated") : rst;
+      });
 }
 
 // --- DeleteVar --------------------------------------------------------------
@@ -521,57 +373,29 @@ sim::Task<Status> TreeClient::DeleteVar(const Slice& key, OpStats* stats) {
   const rdma::FabricConfig& f = system_->fabric_.config();
   EpochPin pin(&system_->reclaim_, cs_id_);
   co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
-  const std::string key_str(key.data(), key.size());
 
-  for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
-    StatusOr<LeafRef> leaf_r =
-        co_await FindLeafAddr(rk, stats, /*allow_hint=*/attempt == 0);
-    if (!leaf_r.ok()) co_return leaf_r.status();
-
-    std::vector<uint8_t> buf(node_size());
-    StatusOr<Locked> locked_r =
-        co_await LockAndRead(leaf_r->addr, rk, buf.data(), stats);
-    if (!locked_r.ok()) {
-      if (locked_r.status().IsRetry()) {
-        if (leaf_r->via_hint) NoteHintStale(rk);
-        if (attempt >= 2) root_known_ = false;  // stale root (see Insert)
-        continue;
-      }
-      co_return locked_r.status();
-    }
-    Locked locked = *locked_r;
-    NodeView view(buf.data(), &o.shape);
-
-    co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-    const uint32_t at = view.VarFind(key);
-    if (at == UINT32_MAX) {
-      co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
-      co_return Status::NotFound();
-    }
-    const uint64_t old_ptr = view.VarOutline(at) ? view.VarVlogPtr(at) : 0;
-    view.VarRemoveAt(at);
-    SealNode(view, /*structural_change=*/false);
-
-    delete_ops_++;
-    bool merged = false;
-    if (MergeCandidate(view, view.count()) && MergeBackoffExpired(locked.addr)) {
-      merged = co_await TryMergeLeafLocked(locked, buf.data(), stats);
-    }
-    if (!merged) {
-      if (stats != nullptr) stats->bytes_written += node_size();
-      std::vector<rdma::WorkRequest> wrs;
-      wrs.push_back(
-          rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-      co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                            stats);
-    }
-    // Retire only after the delete (or merge) published: readers that
-    // fetched the old leaf meanwhile finish under their epoch pin.
-    ForgetVptr(key_str);
-    if (old_ptr != 0) co_await vlog_->Retire(old_ptr, stats);
-    co_return Status::OK();
+  std::vector<uint8_t> buf(node_size());
+  StatusOr<Locked> locked = co_await LockLeafFor(rk, buf.data(), stats);
+  if (!locked.ok()) co_return locked.status();
+  NodeView view(buf.data(), &o.shape);
+  co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
+  const uint32_t at = view.VarFind(key);
+  if (at == UINT32_MAX) {
+    co_await hocl_.Unlock(locked->guard, {}, o.combine_commands, stats);
+    co_return Status::NotFound();
   }
-  co_return Status::Internal("delete restarts exhausted");
+  const uint64_t old_ptr = view.VarOutline(at) ? view.VarVlogPtr(at) : 0;
+  view.VarRemoveAt(at);
+  LeafEdit edit;
+  edit.whole_node = true;
+  edit.removed = 1;
+  co_await WriteBackAndUnlock(*locked, buf.data(), std::move(edit), stats,
+                              /*deletes=*/true);
+  // Retire only after the delete (or merge) published: readers that
+  // fetched the old leaf meanwhile finish under their epoch pin.
+  ForgetVptr(std::string(key.data(), key.size()));
+  if (old_ptr != 0) co_await vlog_->Retire(old_ptr, stats);
+  co_return Status::OK();
 }
 
 // --- ScanVar ----------------------------------------------------------------
@@ -690,7 +514,6 @@ sim::Task<void> TreeClient::ResolveVarInto(uint64_t ptr,
 sim::Task<Status> TreeClient::MultiGetVar(std::vector<std::string> keys,
                                           std::vector<VarGetResult>* out,
                                           OpStats* stats) {
-  const TreeOptions& o = opt();
   const rdma::FabricConfig& f = system_->fabric_.config();
   sim::Simulator& sim = system_->fabric_.simulator();
   out->assign(keys.size(), VarGetResult{});
@@ -698,82 +521,23 @@ sim::Task<Status> TreeClient::MultiGetVar(std::vector<std::string> keys,
   EpochPin pin(&system_->reclaim_, cs_id_);
   co_await sim.Delay(f.cpu_op_overhead_ns);
 
+  // Rejected keys keep their error and route nowhere (kNullKey).
   const size_t n = keys.size();
-  std::vector<Key> rks(n, 0);
-  std::vector<uint8_t> bad(n, 0);
+  std::vector<Key> rks(n, kNullKey);
   for (size_t i = 0; i < n; i++) {
     Status st = CheckVarKey(keys[i], &rks[i]);
-    if (!st.ok()) {
-      (*out)[i].status = st;
-      bad[i] = 1;
-    }
+    if (!st.ok()) (*out)[i].status = st;
   }
 
-  // Phase 1 — plan distinct ROUTING keys (string duplicates and
-  // same-routing-group keys share one descent and one leaf fetch).
-  std::map<Key, size_t> plan_of;
-  std::vector<Key> uniq;
-  for (size_t i = 0; i < n; i++) {
-    if (bad[i]) continue;
-    auto [it, inserted] = plan_of.try_emplace(rks[i], uniq.size());
-    if (inserted) uniq.push_back(rks[i]);
-  }
-  std::vector<LeafRef> refs(uniq.size());
-  std::vector<Status> plan_st(uniq.size(), Status::OK());
-  {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.plan",
-                  uniq.size());
-    sim::CountdownLatch latch(uniq.size());
-    for (size_t j = 0; j < uniq.size(); j++) {
-      sim::Spawn(PlanLeafInto(uniq[j], &refs[j], &plan_st[j], stats, &latch));
-    }
-    co_await latch.Wait();
-  }
+  // Plan distinct ROUTING keys (string duplicates and same-routing-group
+  // keys share one descent and one leaf fetch), fetch distinct leaves.
+  BatchPlan plan;
+  co_await PlanBatch(rks, &plan, stats);
+  LeafFetch fetch;
+  co_await FetchPlannedLeaves(plan, &fetch, stats);
 
-  // Phase 2 — fetch distinct leaves, doorbell-batched per MS.
-  std::map<uint64_t, size_t> buf_of;
-  std::vector<rdma::GlobalAddress> leaves;
-  std::vector<size_t> key_buf(n, SIZE_MAX);
-  for (size_t i = 0; i < n; i++) {
-    if (bad[i]) continue;
-    const size_t j = plan_of[rks[i]];
-    if (!plan_st[j].ok()) continue;
-    const rdma::GlobalAddress addr = refs[j].addr;
-    auto [it, inserted] = buf_of.try_emplace(addr.ToU64(), leaves.size());
-    if (inserted) leaves.push_back(addr);
-    key_buf[i] = it->second;
-  }
-  std::vector<std::vector<uint8_t>> bufs(leaves.size(),
-                                         std::vector<uint8_t>(node_size()));
-  std::map<uint16_t, std::vector<rdma::WorkRequest>> per_ms;
-  for (size_t j = 0; j < leaves.size(); j++) {
-    per_ms[leaves[j].node].push_back(
-        rdma::WorkRequest::Read(leaves[j], bufs[j].data(), node_size()));
-  }
-  std::vector<std::pair<uint16_t, std::vector<rdma::WorkRequest>>> rings;
-  for (auto& [ms, wrs] : per_ms) {
-    for (size_t at = 0; at < wrs.size(); at += kMaxReadBatch) {
-      const size_t end = std::min(at + kMaxReadBatch, wrs.size());
-      rings.emplace_back(ms, std::vector<rdma::WorkRequest>(
-                                 wrs.begin() + at, wrs.begin() + end));
-    }
-  }
-  const sim::SimTime fetch_start = sim.now();
-  if (!rings.empty()) {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "multiget.fetch",
-                  rings.size());
-    sim::CountdownLatch latch(rings.size());
-    for (auto& [ms, wrs] : rings) {
-      sim::Spawn(PostReadsInto(ms, std::move(wrs), stats, &latch));
-    }
-    co_await latch.Wait();
-  }
-  const bool slow_fetch =
-      o.consistency == TreeOptions::Consistency::kVersions &&
-      sim.now() - fetch_start > WrapGuardNs();
-
-  // Phase 3 — validate; inline values serve locally, out-of-line ones are
-  // collected and resolved concurrently (one latch over all vlog READs).
+  // Validate; inline values serve locally, out-of-line ones are collected
+  // and resolved concurrently (one latch over all vlog READs).
   struct Job {
     size_t idx;
     uint64_t ptr;
@@ -782,23 +546,13 @@ sim::Task<Status> TreeClient::MultiGetVar(std::vector<std::string> keys,
   std::vector<Job> jobs;
   std::vector<size_t> retry;
   for (size_t i = 0; i < n; i++) {
-    if (bad[i]) continue;
-    if (key_buf[i] == SIZE_MAX) {
+    if (rks[i] == kNullKey) continue;
+    uint8_t* buf = FetchedLeafFor(fetch, i, rks[i], stats);
+    if (buf == nullptr) {
       retry.push_back(i);
       continue;
     }
-    uint8_t* b = bufs[key_buf[i]].data();
-    NodeView view(b, &o.shape);
-    if (slow_fetch || !NodeConsistent(b)) {
-      if (stats != nullptr) stats->read_retries++;
-      retry.push_back(i);
-      continue;
-    }
-    if (view.is_free() || !view.is_leaf() || !view.InFence(rks[i])) {
-      cache_.InvalidateLevel1Covering(rks[i]);
-      retry.push_back(i);
-      continue;
-    }
+    NodeView view(buf, &opt().shape);
     co_await sim.Delay(f.cpu_node_search_ns);
     const uint32_t at = view.VarFind(keys[i]);
     if (at == UINT32_MAX) {
@@ -828,7 +582,7 @@ sim::Task<Status> TreeClient::MultiGetVar(std::vector<std::string> keys,
     }
   }
 
-  // Phase 4 — re-serve stragglers op-at-a-time.
+  // Re-serve stragglers op-at-a-time.
   SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr,
                 "multiget.fallback", retry.size());
   Status overall = Status::OK();
@@ -846,79 +600,6 @@ sim::Task<Status> TreeClient::MultiGetVar(std::vector<std::string> keys,
 }
 
 // --- MultiInsertVar ---------------------------------------------------------
-
-sim::Task<void> TreeClient::ApplyVarInsertGroup(
-    rdma::GlobalAddress addr, std::vector<size_t> idxs,
-    const std::vector<std::pair<std::string, std::string>>* kvs,
-    const std::vector<uint64_t>* vptrs, std::vector<uint8_t>* defer,
-    std::vector<uint64_t>* retired, OpStats* stats,
-    sim::CountdownLatch* latch) {
-  const TreeOptions& o = opt();
-  const rdma::FabricConfig& f = system_->fabric_.config();
-  std::vector<uint8_t> buf(node_size());
-  const Key first_rk = RoutingKeyFor((*kvs)[idxs[0]].first);
-  StatusOr<Locked> locked_r =
-      co_await LockAndRead(addr, first_rk, buf.data(), stats);
-  if (!locked_r.ok()) {
-    for (size_t idx : idxs) (*defer)[idx] = 1;
-    latch->Arrive();
-    co_return;
-  }
-  Locked locked = *locked_r;
-  NodeView view(buf.data(), &o.shape);
-
-  bool dirty = false;
-  for (size_t idx : idxs) {
-    const std::string& key = (*kvs)[idx].first;
-    const std::string& value = (*kvs)[idx].second;
-    if (!view.InFence(RoutingKeyFor(key))) {  // sibling chase moved us off
-      (*defer)[idx] = 1;
-      continue;
-    }
-    co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-    const bool outline = (*vptrs)[idx] != 0;
-    uint8_t ptr_buf[8];
-    const uint8_t* payload;
-    uint32_t payload_len;
-    if (outline) {
-      std::memcpy(ptr_buf, &(*vptrs)[idx], 8);
-      payload = ptr_buf;
-      payload_len = 8;
-    } else {
-      payload = reinterpret_cast<const uint8_t*>(value.data());
-      payload_len = static_cast<uint32_t>(value.size());
-    }
-    uint64_t old_ptr = 0;
-    {
-      const uint32_t at = view.VarFind(key);
-      if (at != UINT32_MAX && view.VarOutline(at)) {
-        old_ptr = view.VarVlogPtr(at);
-      }
-    }
-    if (!view.VarInsert(key, payload, payload_len,
-                        static_cast<uint16_t>(value.size()), outline)) {
-      (*defer)[idx] = 1;  // full: the split goes through InsertVar()
-      continue;
-    }
-    if (old_ptr != 0) retired->push_back(old_ptr);
-    if (outline) {
-      RememberVptr(key, (*vptrs)[idx], static_cast<uint16_t>(value.size()));
-    } else {
-      ForgetVptr(key);
-    }
-    dirty = true;
-  }
-  std::vector<rdma::WorkRequest> wrs;
-  if (dirty) {
-    SealNode(view, /*structural_change=*/false);
-    if (stats != nullptr) stats->bytes_written += node_size();
-    wrs.push_back(
-        rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-  }
-  co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                        stats);
-  latch->Arrive();
-}
 
 sim::Task<Status> TreeClient::MultiInsertVar(
     std::vector<std::pair<std::string, std::string>> kvs, OpStats* stats) {
@@ -942,10 +623,10 @@ sim::Task<Status> TreeClient::MultiInsertVar(
   EpochPin pin(&system_->reclaim_, cs_id_);
   co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
 
-  // Phase 0 — append every out-of-line value up front; extents stay
-  // private until a leaf slot points at them. SEQUENTIAL on purpose:
-  // Append mutates the per-class open segment between awaits, and two
-  // concurrent rotations of one class would leak a segment.
+  // Append every out-of-line value up front; extents stay private until a
+  // leaf slot points at them. SEQUENTIAL on purpose: Append mutates the
+  // per-class open segment between awaits, and two concurrent rotations
+  // of one class would leak a segment.
   std::vector<uint64_t> vptrs(n, 0);
   for (size_t i = 0; i < n; i++) {
     if (kvs[i].second.size() <= o.inline_threshold) continue;
@@ -956,58 +637,45 @@ sim::Task<Status> TreeClient::MultiInsertVar(
     vptrs[i] = *p;
   }
 
-  // Phase 1 — plan distinct routing keys concurrently.
-  std::map<Key, size_t> plan_of;
-  std::vector<Key> uniq;
-  for (size_t i = 0; i < n; i++) {
-    auto [it, inserted] = plan_of.try_emplace(rks[i], uniq.size());
-    if (inserted) uniq.push_back(rks[i]);
-  }
-  std::vector<LeafRef> refs(uniq.size());
-  std::vector<Status> plan_st(uniq.size(), Status::OK());
-  {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.plan",
-                  uniq.size());
-    sim::CountdownLatch latch(uniq.size());
-    for (size_t j = 0; j < uniq.size(); j++) {
-      sim::Spawn(PlanLeafInto(uniq[j], &refs[j], &plan_st[j], stats, &latch));
-    }
-    co_await latch.Wait();
-  }
-
-  // Phase 2 — group by target leaf; one lock + whole-node write per group.
-  // Duplicate keys stay in one group (same routing plan), applied in batch
-  // order: a later duplicate replaces the earlier one in the staged leaf
-  // and queues the superseded extent on `retired`.
+  // Plan distinct routing keys, then one lock + whole-node write per leaf
+  // group. Duplicate keys stay in one group (same routing plan), applied in
+  // batch order: a later duplicate replaces the earlier one in the staged
+  // leaf and queues the superseded extent on `retired`.
+  BatchPlan plan;
+  co_await PlanBatch(std::move(rks), &plan, stats);
   std::vector<uint8_t> defer(n, 0);
   std::vector<uint64_t> retired;
-  std::map<uint64_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < n; i++) {
-    const size_t j = plan_of[rks[i]];
-    if (plan_st[j].ok()) {
-      groups[refs[j].addr.ToU64()].push_back(i);
-    } else {
-      defer[i] = 1;
-    }
-  }
-  if (!groups.empty()) {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.apply",
-                  groups.size());
-    sim::CountdownLatch latch(groups.size());
-    for (auto& [addr_u64, idxs] : groups) {
-      sim::Spawn(ApplyVarInsertGroup(rdma::GlobalAddress::FromU64(addr_u64),
-                                     std::move(idxs), &kvs, &vptrs, &defer,
-                                     &retired, stats, &latch));
-    }
-    co_await latch.Wait();
-  }
+  co_await ApplyGroups(
+      plan, &defer, stats,
+      [&](Locked locked, uint8_t* buf,
+          std::vector<size_t> idxs) -> sim::Task<void> {
+        NodeView view(buf, &o.shape);
+        LeafEdit edit;
+        for (size_t idx : idxs) {
+          const std::string& key = kvs[idx].first;
+          const std::string& value = kvs[idx].second;
+          uint64_t old_ptr = 0;
+          if (!co_await StageVarPut(view, key, value, vptrs[idx], &edit,
+                                    &old_ptr)) {
+            defer[idx] = 1;  // full: the split goes through InsertVar()
+            continue;
+          }
+          if (old_ptr != 0) retired.push_back(old_ptr);
+          if (vptrs[idx] != 0) {
+            RememberVptr(key, vptrs[idx], static_cast<uint16_t>(value.size()));
+          } else {
+            ForgetVptr(key);
+          }
+        }
+        co_await WriteBackAndUnlock(locked, buf, std::move(edit), stats);
+      });
   // Old extents replaced by the group applies: retire once every group's
   // write-back (publish) has landed.
   for (uint64_t p : retired) co_await vlog_->Retire(p, stats);
 
-  // Phase 3 — deferred keys. A deferred OUT-OF-LINE value already has a
-  // private extent; InsertVar appends its own copy, so retire the orphan
-  // and let the singleton path own the value end to end.
+  // Deferred keys. A deferred OUT-OF-LINE value already has a private
+  // extent; InsertVar appends its own copy, so retire the orphan and let
+  // the singleton path own the value end to end.
   for (size_t i = 0; i < n; i++) {
     if (!defer[i]) continue;
     if (vptrs[i] != 0) co_await vlog_->Retire(vptrs[i], stats);
@@ -1094,57 +762,37 @@ sim::Task<Status> TreeClient::GcVictimSegment(uint16_t ms, uint64_t base,
     const Key rk = RoutingKeyFor(key);
 
     // Tree-guided relocation, copy-then-flip under the leaf lock.
-    bool done = false;
-    for (uint32_t attempt = 0; attempt < o.max_restarts && !done; attempt++) {
-      StatusOr<LeafRef> leaf_r =
-          co_await FindLeafAddr(rk, stats, /*allow_hint=*/attempt == 0);
-      if (!leaf_r.ok()) co_return leaf_r.status();
-      StatusOr<Locked> locked_r =
-          co_await LockAndRead(leaf_r->addr, rk, leaf_buf.data(), stats);
-      if (!locked_r.ok()) {
-        if (locked_r.status().IsRetry()) {
-          if (leaf_r->via_hint) NoteHintStale(rk);
-          if (attempt >= 2) root_known_ = false;
-          continue;
-        }
-        co_return locked_r.status();
-      }
-      Locked locked = *locked_r;
-      NodeView view(leaf_buf.data(), &o.shape);
-      const uint32_t at = view.VarFind(key);
-      const uint64_t cur =
-          (at != UINT32_MAX && view.VarOutline(at)) ? view.VarVlogPtr(at) : 0;
-      if (cur == 0 || vlog::VlogPtr::Cls(cur) != cls ||
-          vlog::VlogPtr::Ms(cur) != ms || vlog::VlogPtr::Off(cur) != off) {
-        // The leaf no longer references this extent (deleted, updated, or
-        // retired after the bitmap snapshot).
-        co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
-        vlog_->mutable_stats().gc_stale++;
-        done = true;
-        break;
-      }
+    StatusOr<Locked> locked =
+        co_await LockLeafFor(rk, leaf_buf.data(), stats);
+    if (!locked.ok()) co_return locked.status();
+    NodeView view(leaf_buf.data(), &o.shape);
+    const uint32_t at = view.VarFind(key);
+    const uint64_t cur =
+        (at != UINT32_MAX && view.VarOutline(at)) ? view.VarVlogPtr(at) : 0;
+    if (cur == 0 || vlog::VlogPtr::Cls(cur) != cls ||
+        vlog::VlogPtr::Ms(cur) != ms || vlog::VlogPtr::Off(cur) != off) {
+      // The leaf no longer references this extent (deleted, updated, or
+      // retired after the bitmap snapshot).
+      co_await hocl_.Unlock(locked->guard, {}, o.combine_commands, stats);
+      vlog_->mutable_stats().gc_stale++;
+    } else {
       // Copy: append the fresh record (lands in a new open segment, never
       // this sealed victim). Flip: repoint the slot and publish the node.
       StatusOr<uint64_t> fresh = co_await vlog_->Append(
           key, value, NodeView::VarFingerprint(key), stats);
       if (!fresh.ok()) {
-        co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
+        co_await hocl_.Unlock(locked->guard, {}, o.combine_commands, stats);
         co_return fresh.status();
       }
       view.VarSetVlogPtr(at, *fresh);
-      SealNode(view, /*structural_change=*/false);
-      if (stats != nullptr) stats->bytes_written += node_size();
-      std::vector<rdma::WorkRequest> wrs;
-      wrs.push_back(
-          rdma::WorkRequest::Write(locked.addr, leaf_buf.data(), node_size()));
-      co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                            stats);
+      LeafEdit edit;
+      edit.whole_node = true;
+      co_await WriteBackAndUnlock(*locked, leaf_buf.data(), std::move(edit),
+                                  stats);
       RememberVptr(key, *fresh, vlen);
       vlog_->mutable_stats().gc_relocated++;
       (*relocated)++;
-      done = true;
     }
-    if (!done) co_return Status::Internal("gc relocation restarts exhausted");
     // Retire AFTER the repoint (or the staleness proof) published; pinned
     // readers of the old extent drain under the grace epoch.
     co_await vlog_->Retire(old_ptr, stats);

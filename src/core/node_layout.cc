@@ -327,7 +327,9 @@ bool NodeView::VarRebuildWithPrefix(uint32_t new_p) {
     const uint32_t eb = slen + static_cast<uint32_t>(e.payload.size());
     w -= eb;
     std::memcpy(data_ + w, e.key.data() + new_p, slen);
-    std::memcpy(data_ + w + slen, e.payload.data(), e.payload.size());
+    if (!e.payload.empty()) {  // empty inline value: no buffer to copy
+      std::memcpy(data_ + w + slen, e.payload.data(), e.payload.size());
+    }
     uint8_t* slot = data_ + VarSlotOffset(i);
     const uint16_t off16 = static_cast<uint16_t>(w);
     std::memcpy(slot, &off16, 2);
@@ -508,7 +510,9 @@ bool BuildVarLeaf(NodeView* v, const std::vector<VarEntry>& entries) {
     const uint32_t eb = slen + static_cast<uint32_t>(e.payload.size());
     w -= eb;
     std::memcpy(v->data() + w, e.key.data() + p, slen);
-    std::memcpy(v->data() + w + slen, e.payload.data(), e.payload.size());
+    if (!e.payload.empty()) {  // empty inline value: no buffer to copy
+      std::memcpy(v->data() + w + slen, e.payload.data(), e.payload.size());
+    }
     uint8_t* slot = v->data() + v->VarSlotOffset(i);
     const uint16_t off16 = static_cast<uint16_t>(w);
     std::memcpy(slot, &off16, 2);

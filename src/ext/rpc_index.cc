@@ -116,8 +116,8 @@ uint64_t RpcIndex::HandleRpc(int ms, uint64_t opcode, uint64_t key,
   }
 }
 
-sim::Task<Status> RpcIndexClient::Put(uint64_t key, uint64_t value,
-                                      OpStats* stats) {
+sim::Task<Status> RpcIndexClient::Insert(uint64_t key, uint64_t value,
+                                         OpStats* stats) {
   SHERMAN_CHECK(value != 0);  // 0 is the "absent" sentinel
   const int ms = index_->ShardFor(key);
   co_await index_->fabric()->qp(cs_id_, ms).Rpc(RpcIndex::kOpPut, key, value);
@@ -125,8 +125,8 @@ sim::Task<Status> RpcIndexClient::Put(uint64_t key, uint64_t value,
   co_return Status::OK();
 }
 
-sim::Task<Status> RpcIndexClient::Get(uint64_t key, uint64_t* value,
-                                      OpStats* stats) {
+sim::Task<Status> RpcIndexClient::Lookup(uint64_t key, uint64_t* value,
+                                         OpStats* stats) {
   const int ms = index_->ShardFor(key);
   const uint64_t r =
       co_await index_->fabric()->qp(cs_id_, ms).Rpc(RpcIndex::kOpGet, key);
@@ -152,7 +152,7 @@ sim::Task<void> ScanShard(rdma::Qp* qp, uint64_t opcode, uint64_t from,
 }
 }  // namespace
 
-sim::Task<Status> RpcIndexClient::Scan(
+sim::Task<Status> RpcIndexClient::RangeQuery(
     uint64_t from, uint32_t count,
     std::vector<std::pair<uint64_t, uint64_t>>* out, OpStats* stats) {
   out->clear();
@@ -225,7 +225,7 @@ sim::Task<Status> RpcIndexClient::MultiGet(std::vector<uint64_t> keys,
   co_return Status::OK();
 }
 
-sim::Task<void> RpcIndexClient::MultiPutShard(
+sim::Task<void> RpcIndexClient::MultiInsertShard(
     int ms, uint64_t token, std::vector<std::pair<uint64_t, uint64_t>> kvs,
     OpStats* stats, sim::CountdownLatch* latch) {
   const uint64_t n = kvs.size();
@@ -238,7 +238,7 @@ sim::Task<void> RpcIndexClient::MultiPutShard(
   latch->Arrive();
 }
 
-sim::Task<Status> RpcIndexClient::MultiPut(
+sim::Task<Status> RpcIndexClient::MultiInsert(
     std::vector<std::pair<uint64_t, uint64_t>> kvs, OpStats* stats) {
   if (kvs.empty()) co_return Status::OK();
   std::map<int, std::vector<std::pair<uint64_t, uint64_t>>> by_ms;
@@ -248,8 +248,8 @@ sim::Task<Status> RpcIndexClient::MultiPut(
   }
   sim::CountdownLatch latch(by_ms.size());
   for (auto& [ms, group] : by_ms) {
-    sim::Spawn(MultiPutShard(ms, index_->NewScanToken(), std::move(group),
-                             stats, &latch));
+    sim::Spawn(MultiInsertShard(ms, index_->NewScanToken(), std::move(group),
+                                stats, &latch));
   }
   co_await latch.Wait();
   co_return Status::OK();

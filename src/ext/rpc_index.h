@@ -80,17 +80,19 @@ class RpcIndexClient {
  public:
   RpcIndexClient(RpcIndex* index, int cs_id) : index_(index), cs_id_(cs_id) {}
 
-  sim::Task<Status> Put(uint64_t key, uint64_t value,
-                        OpStats* stats = nullptr);
-  sim::Task<Status> Get(uint64_t key, uint64_t* value,
-                        OpStats* stats = nullptr);
+  // Op names follow TreeClient's, so templated callers (the bench runner,
+  // tests) take either client.
+  sim::Task<Status> Insert(uint64_t key, uint64_t value,
+                           OpStats* stats = nullptr);
+  sim::Task<Status> Lookup(uint64_t key, uint64_t* value,
+                           OpStats* stats = nullptr);
   sim::Task<Status> Delete(uint64_t key, OpStats* stats = nullptr);
   // Returns up to `count` key-ordered pairs with key >= from. Keys are
   // hash-sharded, so every MS must be asked — one RPC per MS, the
   // structural weakness of an RPC hash index on range workloads.
-  sim::Task<Status> Scan(uint64_t from, uint32_t count,
-                         std::vector<std::pair<uint64_t, uint64_t>>* out,
-                         OpStats* stats = nullptr);
+  sim::Task<Status> RangeQuery(uint64_t from, uint32_t count,
+                               std::vector<std::pair<uint64_t, uint64_t>>* out,
+                               OpStats* stats = nullptr);
 
   // Coalesced batch ops: the keys/kvs are grouped by shard and each shard
   // is asked with ONE RPC carrying the whole sub-batch (token-staged), so
@@ -99,8 +101,9 @@ class RpcIndexClient {
   sim::Task<Status> MultiGet(std::vector<uint64_t> keys,
                              std::vector<MultiGetResult>* out,
                              OpStats* stats = nullptr);
-  sim::Task<Status> MultiPut(std::vector<std::pair<uint64_t, uint64_t>> kvs,
-                             OpStats* stats = nullptr);
+  sim::Task<Status> MultiInsert(
+      std::vector<std::pair<uint64_t, uint64_t>> kvs,
+      OpStats* stats = nullptr);
 
  private:
   sim::Task<void> MultiGetShard(int ms, uint64_t token,
@@ -108,9 +111,9 @@ class RpcIndexClient {
                                 std::vector<size_t> idxs,
                                 std::vector<MultiGetResult>* out,
                                 OpStats* stats, sim::CountdownLatch* latch);
-  sim::Task<void> MultiPutShard(int ms, uint64_t token,
-                                std::vector<std::pair<uint64_t, uint64_t>> kvs,
-                                OpStats* stats, sim::CountdownLatch* latch);
+  sim::Task<void> MultiInsertShard(
+      int ms, uint64_t token, std::vector<std::pair<uint64_t, uint64_t>> kvs,
+      OpStats* stats, sim::CountdownLatch* latch);
 
   RpcIndex* index_;
   int cs_id_;

@@ -14,8 +14,6 @@
 namespace sherman::migrate {
 
 namespace {
-// Sibling chases inside LockSecond (same bound TreeClient uses).
-constexpr int kMaxSiblingChase = 64;
 // Safety bound on the control-plane residual walk.
 constexpr uint64_t kMaxWalkNodes = 1u << 22;
 
@@ -76,7 +74,7 @@ sim::Task<StatusOr<Migrator::LockedNode>> Migrator::LockSecond(
     OpStats* stats, uint8_t level) {
   TreeClient& t = tc();
   const bool combine = system_->options().combine_commands;
-  for (int chase = 0; chase < kMaxSiblingChase; chase++) {
+  for (int chase = 0; chase < TreeClient::kMaxSiblingChase; chase++) {
     const bool shared = SameLane(addr, held);
     LockGuard guard;
     if (!shared) guard = co_await t.hocl_.Lock(addr, stats);

@@ -23,7 +23,7 @@ sim::Task<void> RpcMgetShard(TreeRpcClient* rpc, uint16_t ms,
   latch->Arrive();
 }
 
-sim::Task<void> OsMget(TreeBackend* tree, std::vector<Key> keys,
+sim::Task<void> OsMget(TreeClient* tree, std::vector<Key> keys,
                        std::vector<MultiGetResult>* res, Status* overall,
                        OpStats* stats, sim::CountdownLatch* latch) {
   *overall = co_await tree->MultiGet(std::move(keys), res, stats);
@@ -39,7 +39,7 @@ sim::Task<void> RpcMinsShard(TreeRpcClient* rpc, uint16_t ms,
   latch->Arrive();
 }
 
-sim::Task<void> OsMins(TreeBackend* tree,
+sim::Task<void> OsMins(TreeClient* tree,
                        std::vector<std::pair<Key, uint64_t>> kvs,
                        Status* overall, OpStats* stats,
                        sim::CountdownLatch* latch) {
@@ -56,7 +56,7 @@ sim::Task<void> RpcMdelShard(TreeRpcClient* rpc, uint16_t ms,
   latch->Arrive();
 }
 
-sim::Task<void> OsMdel(TreeBackend* tree, std::vector<Key> keys,
+sim::Task<void> OsMdel(TreeClient* tree, std::vector<Key> keys,
                        std::vector<Status>* per_key, Status* overall,
                        OpStats* stats, sim::CountdownLatch* latch) {
   *overall = co_await tree->MultiDelete(std::move(keys), per_key, stats);
@@ -72,7 +72,7 @@ sim::Task<void> RpcMvgetShard(TreeRpcClient* rpc, uint16_t ms,
   latch->Arrive();
 }
 
-sim::Task<void> OsMvget(TreeBackend* tree, std::vector<std::string> keys,
+sim::Task<void> OsMvget(TreeClient* tree, std::vector<std::string> keys,
                         std::vector<VarGetResult>* res, Status* overall,
                         OpStats* stats, sim::CountdownLatch* latch) {
   *overall = co_await tree->MultiGetVar(std::move(keys), res, stats);
@@ -88,7 +88,7 @@ sim::Task<void> RpcMvinsShard(
   latch->Arrive();
 }
 
-sim::Task<void> OsMvins(TreeBackend* tree,
+sim::Task<void> OsMvins(TreeClient* tree,
                         std::vector<std::pair<std::string, std::string>> kvs,
                         Status* overall, OpStats* stats,
                         sim::CountdownLatch* latch) {
@@ -157,7 +157,7 @@ sim::Task<Status> HybridClient::InsertDirect(Key key, uint64_t value,
       [this, key, value](uint16_t ms, OpStats* s) {
         return rpc_.Insert(ms, key, value, s);
       },
-      [this, key, value](OpStats* s) { return tree_.Insert(key, value, s); },
+      [this, key, value](OpStats* s) { return tree_->Insert(key, value, s); },
       stats);
 }
 
@@ -168,7 +168,7 @@ sim::Task<Status> HybridClient::LookupDirect(Key key, uint64_t* value,
       [this, key, value](uint16_t ms, OpStats* s) {
         return rpc_.Lookup(ms, key, value, s);
       },
-      [this, key, value](OpStats* s) { return tree_.Lookup(key, value, s); },
+      [this, key, value](OpStats* s) { return tree_->Lookup(key, value, s); },
       stats);
 }
 
@@ -205,7 +205,7 @@ sim::Task<Status> HybridClient::Delete(Key key, OpStats* stats) {
   return Dispatch(
       key, /*is_write=*/true,
       [this, key](uint16_t ms, OpStats* s) { return rpc_.Delete(ms, key, s); },
-      [this, key](OpStats* s) { return tree_.Delete(key, s); }, stats);
+      [this, key](OpStats* s) { return tree_->Delete(key, s); }, stats);
 }
 
 sim::Task<Status> HybridClient::RangeQuery(
@@ -217,7 +217,7 @@ sim::Task<Status> HybridClient::RangeQuery(
         return rpc_.RangeQuery(ms, from, count, out, s);
       },
       [this, from, count, out](OpStats* s) {
-        return tree_.RangeQuery(from, count, out, s);
+        return tree_->RangeQuery(from, count, out, s);
       },
       stats);
 }
@@ -289,7 +289,7 @@ sim::Task<Status> HybridClient::MultiGet(std::vector<Key> keys,
       ks.reserve(os_idx.size());
       for (size_t i : os_idx) ks.push_back(keys[i]);
       sim::Spawn(
-          OsMget(&tree_, std::move(ks), &os_res, &os_st, &os_local, &latch));
+          OsMget(tree_, std::move(ks), &os_res, &os_st, &os_local, &latch));
     }
     co_await latch.Wait();
   }
@@ -318,7 +318,7 @@ sim::Task<Status> HybridClient::MultiGet(std::vector<Key> keys,
       ks.push_back(keys[i]);
       is_fb[i] = 1;
     }
-    fb_st = co_await tree_.MultiGet(std::move(ks), &fb_res, &fb_local);
+    fb_st = co_await tree_->MultiGet(std::move(ks), &fb_res, &fb_local);
     for (size_t j = 0; j < fb_idx.size(); j++) (*out)[fb_idx[j]] = fb_res[j];
   }
 
@@ -402,7 +402,7 @@ sim::Task<Status> HybridClient::MultiInsert(
       std::vector<std::pair<Key, uint64_t>> group;
       group.reserve(os_idx.size());
       for (size_t i : os_idx) group.push_back(kvs[i]);
-      sim::Spawn(OsMins(&tree_, std::move(group), &os_st, &os_local, &latch));
+      sim::Spawn(OsMins(tree_, std::move(group), &os_st, &os_local, &latch));
     }
     co_await latch.Wait();
   }
@@ -424,7 +424,7 @@ sim::Task<Status> HybridClient::MultiInsert(
     std::vector<std::pair<Key, uint64_t>> group;
     group.reserve(fb_idx.size());
     for (size_t i : fb_idx) group.push_back(kvs[i]);
-    fb_st = co_await tree_.MultiInsert(std::move(group), &fb_local);
+    fb_st = co_await tree_->MultiInsert(std::move(group), &fb_local);
   }
 
   std::vector<SlotView> views;
@@ -515,7 +515,7 @@ sim::Task<Status> HybridClient::MultiDelete(std::vector<Key> keys,
       ks.reserve(os_idx.size());
       for (size_t i : os_idx) ks.push_back(keys[i]);
       sim::Spawn(
-          OsMdel(&tree_, std::move(ks), &os_res, &os_st, &os_local, &latch));
+          OsMdel(tree_, std::move(ks), &os_res, &os_st, &os_local, &latch));
     }
     co_await latch.Wait();
   }
@@ -542,7 +542,7 @@ sim::Task<Status> HybridClient::MultiDelete(std::vector<Key> keys,
     std::vector<Status> fb_res;
     ks.reserve(fb_idx.size());
     for (size_t i : fb_idx) ks.push_back(keys[i]);
-    fb_st = co_await tree_.MultiDelete(std::move(ks), &fb_res, &fb_local);
+    fb_st = co_await tree_->MultiDelete(std::move(ks), &fb_res, &fb_local);
     for (size_t j = 0; j < fb_idx.size(); j++) (*out)[fb_idx[j]] = fb_res[j];
   }
 
@@ -575,7 +575,7 @@ sim::Task<Status> HybridClient::InsertVarDirect(const Slice& key,
       [this, &ks, &vs](uint16_t ms, OpStats* s) {
         return rpc_.InsertVar(ms, ks, vs, s);
       },
-      [this, &ks, &vs](OpStats* s) { return tree_.InsertVar(ks, vs, s); },
+      [this, &ks, &vs](OpStats* s) { return tree_->InsertVar(ks, vs, s); },
       stats);
 }
 
@@ -589,7 +589,7 @@ sim::Task<Status> HybridClient::LookupVarDirect(const Slice& key,
       [this, &ks, value](uint16_t ms, OpStats* s) {
         return rpc_.LookupVar(ms, ks, value, s);
       },
-      [this, &ks, value](OpStats* s) { return tree_.LookupVar(ks, value, s); },
+      [this, &ks, value](OpStats* s) { return tree_->LookupVar(ks, value, s); },
       stats);
 }
 
@@ -632,7 +632,7 @@ sim::Task<Status> HybridClient::DeleteVar(const Slice& key, OpStats* stats) {
       [this, &ks](uint16_t ms, OpStats* s) {
         return rpc_.DeleteVar(ms, ks, s);
       },
-      [this, &ks](OpStats* s) { return tree_.DeleteVar(ks, s); }, stats);
+      [this, &ks](OpStats* s) { return tree_->DeleteVar(ks, s); }, stats);
 }
 
 sim::Task<Status> HybridClient::ScanVar(
@@ -646,7 +646,7 @@ sim::Task<Status> HybridClient::ScanVar(
         return rpc_.ScanVar(ms, fs, count, out, s);
       },
       [this, &fs, count, out](OpStats* s) {
-        return tree_.ScanVar(fs, count, out, s);
+        return tree_->ScanVar(fs, count, out, s);
       },
       stats);
 }
@@ -716,7 +716,7 @@ sim::Task<Status> HybridClient::MultiGetVar(std::vector<std::string> keys,
       ks.reserve(os_idx.size());
       for (size_t i : os_idx) ks.push_back(keys[i]);
       sim::Spawn(
-          OsMvget(&tree_, std::move(ks), &os_res, &os_st, &os_local, &latch));
+          OsMvget(tree_, std::move(ks), &os_res, &os_st, &os_local, &latch));
     }
     co_await latch.Wait();
   }
@@ -746,7 +746,7 @@ sim::Task<Status> HybridClient::MultiGetVar(std::vector<std::string> keys,
       ks.push_back(keys[i]);
       is_fb[i] = 1;
     }
-    fb_st = co_await tree_.MultiGetVar(std::move(ks), &fb_res, &fb_local);
+    fb_st = co_await tree_->MultiGetVar(std::move(ks), &fb_res, &fb_local);
     for (size_t j = 0; j < fb_idx.size(); j++) {
       (*out)[fb_idx[j]] = fb_res[j];
     }
@@ -830,7 +830,7 @@ sim::Task<Status> HybridClient::MultiInsertVar(
       std::vector<std::pair<std::string, std::string>> group;
       group.reserve(os_idx.size());
       for (size_t i : os_idx) group.push_back(kvs[i]);
-      sim::Spawn(OsMvins(&tree_, std::move(group), &os_st, &os_local, &latch));
+      sim::Spawn(OsMvins(tree_, std::move(group), &os_st, &os_local, &latch));
     }
     co_await latch.Wait();
   }
@@ -853,7 +853,7 @@ sim::Task<Status> HybridClient::MultiInsertVar(
     std::vector<std::pair<std::string, std::string>> group;
     group.reserve(fb_idx.size());
     for (size_t i : fb_idx) group.push_back(kvs[i]);
-    fb_st = co_await tree_.MultiInsertVar(std::move(group), &fb_local);
+    fb_st = co_await tree_->MultiInsertVar(std::move(group), &fb_local);
   }
 
   std::vector<SlotView> views;

@@ -10,7 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "route/backend.h"
+#include "core/btree.h"
 #include "route/hotness.h"
 #include "route/router.h"
 #include "route/tree_rpc.h"
@@ -21,7 +21,7 @@ class RdwcLayer;
 
 namespace sherman::route {
 
-class HybridClient final : public IndexBackend {
+class HybridClient {
  public:
   HybridClient(ShermanSystem* sherman, TreeRpcService* service,
                AdaptiveRouter* router, HotnessTracker* tracker, int cs_id)
@@ -36,13 +36,13 @@ class HybridClient final : public IndexBackend {
   // is installed (hot keys run through a combining window); cold keys and
   // everything else fall through to the direct paths below.
   sim::Task<Status> Insert(Key key, uint64_t value,
-                           OpStats* stats = nullptr) override;
+                           OpStats* stats = nullptr);
   sim::Task<Status> Lookup(Key key, uint64_t* value,
-                           OpStats* stats = nullptr) override;
-  sim::Task<Status> Delete(Key key, OpStats* stats = nullptr) override;
+                           OpStats* stats = nullptr);
+  sim::Task<Status> Delete(Key key, OpStats* stats = nullptr);
   sim::Task<Status> RangeQuery(Key from, uint32_t count,
                                std::vector<std::pair<Key, uint64_t>>* out,
-                               OpStats* stats = nullptr) override;
+                               OpStats* stats = nullptr);
 
   // Batched ops: keys are split by logical shard, the RPC-path sub-batches
   // coalesce into ONE TreeRpcService request per shard, the one-sided
@@ -60,12 +60,12 @@ class HybridClient final : public IndexBackend {
   // gets the real status) and reports NotFound for the rest.
   sim::Task<Status> MultiGet(std::vector<Key> keys,
                              std::vector<MultiGetResult>* out,
-                             OpStats* stats = nullptr) override;
+                             OpStats* stats = nullptr);
   sim::Task<Status> MultiInsert(std::vector<std::pair<Key, uint64_t>> kvs,
-                                OpStats* stats = nullptr) override;
+                                OpStats* stats = nullptr);
   sim::Task<Status> MultiDelete(std::vector<Key> keys,
                                 std::vector<Status>* out,
-                                OpStats* stats = nullptr) override;
+                                OpStats* stats = nullptr);
 
   // Varlen ops (shape.varlen trees): dispatched on the ROUTING key's
   // shard, with the same decline->one-sided fallback as the fixed ops.
@@ -75,26 +75,24 @@ class HybridClient final : public IndexBackend {
   // FULL byte key, so results are never shared across distinct keys that
   // collide on one routing key. DeleteVar/ScanVar always bypass.
   sim::Task<Status> InsertVar(const Slice& key, const Slice& value,
-                              OpStats* stats = nullptr) override;
+                              OpStats* stats = nullptr);
   sim::Task<Status> LookupVar(const Slice& key, std::string* value,
-                              OpStats* stats = nullptr) override;
+                              OpStats* stats = nullptr);
   sim::Task<Status> DeleteVar(const Slice& key,
-                              OpStats* stats = nullptr) override;
+                              OpStats* stats = nullptr);
   sim::Task<Status> ScanVar(
       const Slice& from, uint32_t count,
       std::vector<std::pair<std::string, std::string>>* out,
-      OpStats* stats = nullptr) override;
+      OpStats* stats = nullptr);
   sim::Task<Status> MultiGetVar(std::vector<std::string> keys,
                                 std::vector<VarGetResult>* out,
-                                OpStats* stats = nullptr) override;
+                                OpStats* stats = nullptr);
   sim::Task<Status> MultiInsertVar(
       std::vector<std::pair<std::string, std::string>> kvs,
-      OpStats* stats = nullptr) override;
-
-  const char* name() const override { return "hybrid"; }
+      OpStats* stats = nullptr);
 
   int cs_id() const { return cs_id_; }
-  TreeClient& tree_client() { return *tree_.client(); }
+  TreeClient& tree_client() { return *tree_; }
 
   // RDWC (src/combine/): installed by HybridSystem when delegation is
   // enabled; the table is shared by every client of the deployment.
@@ -172,7 +170,7 @@ class HybridClient final : public IndexBackend {
     co_return st;
   }
 
-  TreeBackend tree_;
+  TreeClient* tree_;
   TreeRpcClient rpc_;
   AdaptiveRouter* router_;
   HotnessTracker* tracker_;

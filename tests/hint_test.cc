@@ -9,6 +9,8 @@
 // (CrashSweepTest covers hint.publish and hint.invalidate).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,9 +31,24 @@ rdma::FabricConfig SmallFabric(int ms = 2, int cs = 2) {
   return f;
 }
 
-TreeOptions HintOptions() {
+// The split and merge scenarios run on both leaf layouts: fixed u64 keys
+// through Insert/Lookup/Delete, and string keys over slotted leaves through
+// InsertVar/LookupVar/DeleteVar. Both layouts run the same locked-write and
+// lock-free read loops, so both must keep their hint-stale rules.
+enum class Layout { kFixed, kVarlen };
+
+const char* LayoutName(Layout layout) {
+  return layout == Layout::kFixed ? "fixed" : "varlen";
+}
+
+TreeOptions HintOptions(Layout layout = Layout::kFixed) {
   TreeOptions topt = ShermanOptions();
   topt.shape.node_size = 256;  // small nodes: splits/merges fire fast
+  if (layout == Layout::kVarlen) {
+    topt.two_level_versions = false;  // varlen requires sorted leaves
+    topt.shape.varlen = true;
+    topt.shape.node_size = 512;  // room for two maximal slotted entries
+  }
   topt.enable_cache = false;   // isolate the hint path from the cache
   topt.cache_bytes = 0;
   topt.enable_leaf_hints = true;
@@ -42,23 +59,73 @@ TreeOptions HintOptions() {
   return topt;
 }
 
-// Looks up every loaded rank in [0, n) through `c` and checks the value.
-sim::Task<void> VerifyAll(TreeClient* c, uint64_t n, bool* done) {
+// Varlen key and loaded value of rank `r` (values stay inline).
+std::string VarKey(uint64_t r) {
+  return WorkloadGenerator::StringKeyFor(r, 16, 40);
+}
+std::string VarValue(const std::string& key) { return "v:" + key; }
+
+// Loads ranks [0, n) with `fill`-full leaves.
+void LoadRanks(ShermanSystem* system, Layout layout, uint64_t n, double fill) {
+  if (layout == Layout::kFixed) {
+    system->BulkLoad(bench::MakeLoadKvs(n), fill);
+    return;
+  }
+  std::vector<std::pair<std::string, std::string>> kvs;
   for (uint64_t r = 0; r < n; r++) {
+    kvs.emplace_back(VarKey(r), VarValue(VarKey(r)));
+  }
+  std::sort(kvs.begin(), kvs.end());
+  system->BulkLoadVar(kvs, fill);
+}
+
+// Point lookup of loaded rank `r`: OK only with the loaded value.
+sim::Task<Status> LookupRank(TreeClient* c, Layout layout, uint64_t r) {
+  if (layout == Layout::kFixed) {
     const Key k = WorkloadGenerator::LoadedKeyFor(r);
     uint64_t v = 0;
     const Status st = co_await c->Lookup(k, &v);
+    if (st.ok() && v != k * 31 + 7) co_return Status::Corruption("bad value");
+    co_return st;
+  }
+  const std::string k = VarKey(r);
+  std::string v;
+  const Status st = co_await c->LookupVar(k, &v);
+  if (st.ok() && v != VarValue(k)) co_return Status::Corruption("bad value");
+  co_return st;
+}
+
+// Inserts a fresh key right after loaded rank `r` (same leaf).
+sim::Task<Status> InsertBesideRank(TreeClient* c, Layout layout, uint64_t r) {
+  if (layout == Layout::kFixed) {
+    const Key k = WorkloadGenerator::LoadedKeyFor(r) + 1;
+    co_return co_await c->Insert(k, k);
+  }
+  co_return co_await c->InsertVar(VarKey(r) + "+", "fresh");
+}
+
+sim::Task<Status> DeleteRank(TreeClient* c, Layout layout, uint64_t r) {
+  if (layout == Layout::kFixed) {
+    co_return co_await c->Delete(WorkloadGenerator::LoadedKeyFor(r));
+  }
+  co_return co_await c->DeleteVar(VarKey(r));
+}
+
+// Looks up every loaded rank in [0, n) through `c` and checks the value.
+sim::Task<void> VerifyAll(TreeClient* c, uint64_t n, bool* done,
+                          Layout layout = Layout::kFixed) {
+  for (uint64_t r = 0; r < n; r++) {
+    const Status st = co_await LookupRank(c, layout, r);
     EXPECT_TRUE(st.ok()) << "rank " << r << ": " << st.ToString();
-    EXPECT_EQ(v, k * 31 + 7) << "rank " << r;
   }
   *done = true;
 }
 
 // One lookup to warm the client's mirror (the first consult fetches every
 // MS's table).
-sim::Task<void> WarmMirror(TreeClient* c, bool* done) {
-  uint64_t v = 0;
-  const Status st = co_await c->Lookup(WorkloadGenerator::LoadedKeyFor(0), &v);
+sim::Task<void> WarmMirror(TreeClient* c, bool* done,
+                           Layout layout = Layout::kFixed) {
+  const Status st = co_await LookupRank(c, layout, 0);
   EXPECT_TRUE(st.ok()) << st.ToString();
   *done = true;
 }
@@ -74,36 +141,39 @@ void RunToDone(ShermanSystem* system, bool* done) {
 // (B-link chase from the hinted leaf), and keys in split-off siblings the
 // mirror has never heard of must fall back cleanly.
 TEST(HintStalenessTest, HintedLeafConcurrentlySplit) {
-  ShermanSystem system(SmallFabric(), HintOptions());
-  const uint64_t n = 2'000;
-  system.BulkLoad(bench::MakeLoadKvs(n), 1.0);  // full leaves: split-prone
+  for (Layout layout : {Layout::kFixed, Layout::kVarlen}) {
+    SCOPED_TRACE(LayoutName(layout));
+    ShermanSystem system(SmallFabric(), HintOptions(layout));
+    const uint64_t n = 2'000;
+    LoadRanks(&system, layout, n, 1.0);  // full leaves: split-prone
 
-  bool warmed = false;
-  sim::Spawn(WarmMirror(&system.client(1), &warmed));
-  RunToDone(&system, &warmed);
+    bool warmed = false;
+    sim::Spawn(WarmMirror(&system.client(1), &warmed, layout));
+    RunToDone(&system, &warmed);
 
-  // Client 0 inserts the odd keys between every loaded pair: every leaf
-  // overflows and splits. Client 1's mirror still maps pre-split ranges.
-  bool churned = false;
-  sim::Spawn([](TreeClient* c, uint64_t keys, bool* done) -> sim::Task<void> {
-    for (uint64_t r = 0; r < keys; r++) {
-      const Key k = WorkloadGenerator::LoadedKeyFor(r) + 1;
-      EXPECT_TRUE((co_await c->Insert(k, k)).ok());
-    }
-    *done = true;
-  }(&system.client(0), n, &churned));
-  RunToDone(&system, &churned);
+    // Client 0 inserts a key right after every loaded one: every leaf
+    // overflows and splits. Client 1's mirror still maps pre-split ranges.
+    bool churned = false;
+    sim::Spawn([](TreeClient* c, Layout l, uint64_t keys,
+                  bool* done) -> sim::Task<void> {
+      for (uint64_t r = 0; r < keys; r++) {
+        EXPECT_TRUE((co_await InsertBesideRank(c, l, r)).ok());
+      }
+      *done = true;
+    }(&system.client(0), layout, n, &churned));
+    RunToDone(&system, &churned);
 
-  bool verified = false;
-  sim::Spawn(VerifyAll(&system.client(1), n, &verified));
-  RunToDone(&system, &verified);
+    bool verified = false;
+    sim::Spawn(VerifyAll(&system.client(1), n, &verified, layout));
+    RunToDone(&system, &verified);
 
-  const TreeClient::HintStats& h = system.client(1).hint_stats();
-  EXPECT_GT(h.consults, 0u);
-  // Post-split reads from the stale mirror must have chased or fallen
-  // back at least once — if not, the scenario never went stale.
-  EXPECT_GT(h.chases + h.stale, 0u) << "splits never invalidated a hint";
-  system.DebugCheckInvariants();
+    const TreeClient::HintStats& h = system.client(1).hint_stats();
+    EXPECT_GT(h.consults, 0u);
+    // Post-split reads from the stale mirror must have chased or fallen
+    // back at least once — if not, the scenario never went stale.
+    EXPECT_GT(h.chases + h.stale, 0u) << "splits never invalidated a hint";
+    system.DebugCheckInvariants();
+  }
 }
 
 // --- merge ------------------------------------------------------------------
@@ -112,45 +182,47 @@ TEST(HintStalenessTest, HintedLeafConcurrentlySplit) {
 // rejects the freed leaf, traversal serves it) and every deleted key must
 // report NotFound — not a failure.
 TEST(HintStalenessTest, HintedLeafConcurrentlyMerged) {
-  ShermanSystem system(SmallFabric(), HintOptions());
-  const uint64_t n = 2'000;
-  system.BulkLoad(bench::MakeLoadKvs(n), 1.0);
+  for (Layout layout : {Layout::kFixed, Layout::kVarlen}) {
+    SCOPED_TRACE(LayoutName(layout));
+    ShermanSystem system(SmallFabric(), HintOptions(layout));
+    const uint64_t n = 2'000;
+    LoadRanks(&system, layout, n, 1.0);
 
-  bool warmed = false;
-  sim::Spawn(WarmMirror(&system.client(1), &warmed));
-  RunToDone(&system, &warmed);
+    bool warmed = false;
+    sim::Spawn(WarmMirror(&system.client(1), &warmed, layout));
+    RunToDone(&system, &warmed);
 
-  bool churned = false;
-  sim::Spawn([](TreeClient* c, uint64_t keys, bool* done) -> sim::Task<void> {
-    for (uint64_t r = 0; r < keys; r++) {
-      if (r % 16 == 0) continue;  // keep 1 of every 16
-      EXPECT_TRUE(
-          (co_await c->Delete(WorkloadGenerator::LoadedKeyFor(r))).ok());
-    }
-    *done = true;
-  }(&system.client(0), n, &churned));
-  RunToDone(&system, &churned);
-
-  bool verified = false;
-  sim::Spawn([](TreeClient* c, uint64_t keys, bool* done) -> sim::Task<void> {
-    for (uint64_t r = 0; r < keys; r++) {
-      const Key k = WorkloadGenerator::LoadedKeyFor(r);
-      uint64_t v = 0;
-      const Status st = co_await c->Lookup(k, &v);
-      if (r % 16 == 0) {
-        EXPECT_TRUE(st.ok()) << "rank " << r << ": " << st.ToString();
-        EXPECT_EQ(v, k * 31 + 7);
-      } else {
-        EXPECT_TRUE(st.IsNotFound()) << "rank " << r << ": " << st.ToString();
+    bool churned = false;
+    sim::Spawn([](TreeClient* c, Layout l, uint64_t keys,
+                  bool* done) -> sim::Task<void> {
+      for (uint64_t r = 0; r < keys; r++) {
+        if (r % 16 == 0) continue;  // keep 1 of every 16
+        EXPECT_TRUE((co_await DeleteRank(c, l, r)).ok());
       }
-    }
-    *done = true;
-  }(&system.client(1), n, &verified));
-  RunToDone(&system, &verified);
+      *done = true;
+    }(&system.client(0), layout, n, &churned));
+    RunToDone(&system, &churned);
 
-  const TreeClient::HintStats& h = system.client(1).hint_stats();
-  EXPECT_GT(h.stale, 0u) << "merges never invalidated a hint";
-  system.DebugCheckInvariants();
+    bool verified = false;
+    sim::Spawn([](TreeClient* c, Layout l, uint64_t keys,
+                  bool* done) -> sim::Task<void> {
+      for (uint64_t r = 0; r < keys; r++) {
+        const Status st = co_await LookupRank(c, l, r);
+        if (r % 16 == 0) {
+          EXPECT_TRUE(st.ok()) << "rank " << r << ": " << st.ToString();
+        } else {
+          EXPECT_TRUE(st.IsNotFound())
+              << "rank " << r << ": " << st.ToString();
+        }
+      }
+      *done = true;
+    }(&system.client(1), layout, n, &verified));
+    RunToDone(&system, &verified);
+
+    const TreeClient::HintStats& h = system.client(1).hint_stats();
+    EXPECT_GT(h.stale, 0u) << "merges never invalidated a hint";
+    system.DebugCheckInvariants();
+  }
 }
 
 // --- migrate ----------------------------------------------------------------

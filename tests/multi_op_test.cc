@@ -13,7 +13,6 @@
 #include "core/hybrid_system.h"
 #include "core/presets.h"
 #include "ext/rpc_index.h"
-#include "route/backend.h"
 #include "util/random.h"
 
 namespace sherman {
@@ -56,7 +55,9 @@ TEST(MultiGetTest, MatchesSingletonLookups) {
         Status single = co_await c->Lookup(keys[i], &want);
         EXPECT_EQ(got[i].status, single)
             << "key " << keys[i] << ": " << got[i].status.ToString();
-        if (single.ok()) EXPECT_EQ(got[i].value, want) << "key " << keys[i];
+        if (single.ok()) {
+          EXPECT_EQ(got[i].value, want) << "key " << keys[i];
+        }
       }
     }
     *flag = true;
@@ -632,7 +633,7 @@ TEST(RpcIndexMultiOpTest, OneRequestPerShard) {
     // Coalesced writes, visible to subsequent gets.
     std::vector<std::pair<uint64_t, uint64_t>> batch;
     for (uint64_t k = 1; k <= 32; k++) batch.emplace_back(k, k * 13);
-    EXPECT_TRUE((co_await c->MultiPut(batch, nullptr)).ok());
+    EXPECT_TRUE((co_await c->MultiInsert(batch, nullptr)).ok());
     std::vector<uint64_t> back;
     for (uint64_t k = 1; k <= 32; k++) back.push_back(k);
     std::vector<MultiGetResult> after;

@@ -26,13 +26,13 @@ TEST(RpcIndexTest, PutGetDelete) {
   RpcIndexClient client(&index, 0);
   bool done = false;
   sim::Spawn([](RpcIndexClient* c, bool* flag) -> sim::Task<void> {
-    EXPECT_TRUE((co_await c->Put(10, 100)).ok());
+    EXPECT_TRUE((co_await c->Insert(10, 100)).ok());
     uint64_t v = 0;
-    EXPECT_TRUE((co_await c->Get(10, &v)).ok());
+    EXPECT_TRUE((co_await c->Lookup(10, &v)).ok());
     EXPECT_EQ(v, 100u);
-    EXPECT_TRUE((co_await c->Get(11, &v)).IsNotFound());
+    EXPECT_TRUE((co_await c->Lookup(11, &v)).IsNotFound());
     EXPECT_TRUE((co_await c->Delete(10)).ok());
-    EXPECT_TRUE((co_await c->Get(10, &v)).IsNotFound());
+    EXPECT_TRUE((co_await c->Lookup(10, &v)).IsNotFound());
     EXPECT_TRUE((co_await c->Delete(10)).IsNotFound());
     *flag = true;
   }(&client, &done));
@@ -59,13 +59,13 @@ TEST(RpcIndexTest, BulkLoadAndRandomOps) {
       switch (rng.Uniform(3)) {
         case 0: {
           const uint64_t val = 1 + rng.Uniform(1 << 20);
-          EXPECT_TRUE((co_await c->Put(key, val)).ok());
+          EXPECT_TRUE((co_await c->Insert(key, val)).ok());
           model[key] = val;
           break;
         }
         case 1: {
           uint64_t v = 0;
-          Status st = co_await c->Get(key, &v);
+          Status st = co_await c->Lookup(key, &v);
           auto it = model.find(key);
           if (it == model.end()) {
             EXPECT_TRUE(st.IsNotFound());
@@ -105,7 +105,7 @@ TEST(RpcIndexTest, ThroughputCappedByMemoryThreads) {
                      -> sim::Task<void> {
         Random rng(seed);
         while (!x->stop) {
-          Status st = co_await c->Put(1 + rng.Uniform(10'000), 7);
+          Status st = co_await c->Insert(1 + rng.Uniform(10'000), 7);
           EXPECT_TRUE(st.ok());
           x->ops++;
         }
