@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Check that the working tree simulates byte-for-byte like a git revision.
 
-Usage: compare_sim_digest.py REV [--seconds S] [--seeds 1,2] [--keep]
+Usage: compare_sim_digest.py REV
 
 Checks REV out into a temporary `git worktree`, then runs
 
-    python3 perfbench/run.py --workload W --seed N --seconds S --trace 0 \
+    python3 perfbench/run.py --workload W --seed N --seconds 10 --trace 0 \
         --digest FILE
 
-for every benchmark workload and seed, once in that worktree (built into
+for every benchmark workload at seeds 1 and 2, once in that worktree (built into
 its own CARGO_TARGET_DIR) and once in the working tree (built wherever
 CARGO_TARGET_DIR points, `.bench_build/` by default). The digest holds the
 simulated end-to-end metrics, the simulator's event count and every
@@ -18,7 +18,7 @@ that fails or digest that differs; refactors that claim to leave the
 simulation untouched run this against their parent commit.
 
 The worktree and its build live under a temporary directory that is
-removed on exit (--keep leaves it for inspection).
+removed on exit.
 """
 import argparse
 import difflib
@@ -30,16 +30,18 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("skew-write", "uniform-read-cold", "varlen-mixed")
+SEEDS = (1, 2)
+SECONDS = 10
 
 
-def run_digest(tree, target_dir, workload, seed, seconds, digest):
+def run_digest(tree, target_dir, workload, seed, digest):
     """Runs one perfbench workload in `tree`; returns True on success."""
     env = dict(os.environ)
     if target_dir is not None:
         env["CARGO_TARGET_DIR"] = target_dir
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0", "--digest", digest]
+           "--seconds", str(SECONDS), "--trace", "0", "--digest", digest]
     proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
     if proc.returncode != 0:
@@ -53,13 +55,7 @@ def run_digest(tree, target_dir, workload, seed, seconds, digest):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="git revision to compare against")
-    ap.add_argument("--seconds", type=int, default=10)
-    ap.add_argument("--seeds", default="1,2",
-                    help="comma-separated workload seeds (default 1,2)")
-    ap.add_argument("--keep", action="store_true",
-                    help="keep the temporary worktree and digests")
     args = ap.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",") if s]
 
     tmp = tempfile.mkdtemp(prefix="sim_digest_")
     worktree = os.path.join(tmp, "rev")
@@ -72,14 +68,13 @@ def main():
             return 1
         failures = 0
         for workload in WORKLOADS:
-            for seed in seeds:
+            for seed in SEEDS:
                 name = f"{workload}.seed{seed}.digest"
                 want = os.path.join(tmp, "rev." + name)
                 got = os.path.join(tmp, "work." + name)
                 if not (run_digest(worktree, os.path.join(tmp, "target"),
-                                   workload, seed, args.seconds, want) and
-                        run_digest(ROOT, None, workload, seed, args.seconds,
-                                   got)):
+                                   workload, seed, want) and
+                        run_digest(ROOT, None, workload, seed, got)):
                     return 1
                 with open(want) as f:
                     a = f.readlines()
@@ -102,10 +97,7 @@ def main():
         if added:
             subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
                             worktree], stdout=subprocess.DEVNULL)
-        if args.keep:
-            print(f"kept {tmp}", file=sys.stderr)
-        else:
-            shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 if __name__ == "__main__":

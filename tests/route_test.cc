@@ -468,50 +468,50 @@ TEST(TreeRpcTest, FullLeafInsertFallsBackAndSplitsOneSided) {
 // templated coroutine (like the bench runner's client loop) runs against
 // either.
 template <typename Index>
-sim::Task<void> DriveBackend(Index* b, bool* flag) {
+sim::Task<void> DriveIndex(Index* client, bool* flag) {
   // Each await lands in a named Status: GCC cannot deduce a co_await's
   // type inside the gtest macros of a template.
-  Status st = co_await b->Insert(10, 100);
+  Status st = co_await client->Insert(10, 100);
   EXPECT_TRUE(st.ok());
-  st = co_await b->Insert(12, 120);
+  st = co_await client->Insert(12, 120);
   EXPECT_TRUE(st.ok());
   uint64_t v = 0;
-  st = co_await b->Lookup(10, &v);
+  st = co_await client->Lookup(10, &v);
   EXPECT_TRUE(st.ok());
   EXPECT_EQ(v, 100u);
-  st = co_await b->Lookup(11, &v);
+  st = co_await client->Lookup(11, &v);
   EXPECT_TRUE(st.IsNotFound());
   std::vector<std::pair<Key, uint64_t>> out;
-  st = co_await b->RangeQuery(10, 2, &out);
+  st = co_await client->RangeQuery(10, 2, &out);
   EXPECT_TRUE(st.ok());
   EXPECT_EQ(out.size(), 2u);
   if (out.size() == 2) {
     EXPECT_EQ(out[0].first, 10u);
     EXPECT_EQ(out[1].first, 12u);
   }
-  st = co_await b->Delete(10);
+  st = co_await client->Delete(10);
   EXPECT_TRUE(st.ok());
-  st = co_await b->Lookup(10, &v);
+  st = co_await client->Lookup(10, &v);
   EXPECT_TRUE(st.IsNotFound());
   *flag = true;
 }
 
-TEST(BackendTest, TreeAndRpcIndexBehindOneInterface) {
+TEST(ClientParityTest, TreeAndRpcIndexClientsRunOneOpSequence) {
   // The same driver coroutine runs against both implementations.
   {
     ShermanSystem system(SmallFabric(), ShermanOptions());
     system.BulkLoad({{2, 20}}, 0.5);
     bool done = false;
-    sim::Spawn(DriveBackend(&system.client(0), &done));
+    sim::Spawn(DriveIndex(&system.client(0), &done));
     system.simulator().Run();
     EXPECT_TRUE(done);
   }
   {
     rdma::Fabric fabric(SmallFabric());
     ext::RpcIndex index(&fabric);
-    ext::RpcIndexClient backend(&index, 0);
+    ext::RpcIndexClient rpc_client(&index, 0);
     bool done = false;
-    sim::Spawn(DriveBackend(&backend, &done));
+    sim::Spawn(DriveIndex(&rpc_client, &done));
     fabric.simulator().Run();
     EXPECT_TRUE(done);
   }
