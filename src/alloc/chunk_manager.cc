@@ -15,7 +15,7 @@ ChunkManager::ChunkManager(rdma::MemoryServer* ms, const ReclaimEpoch* reclaim)
   total_chunks_ = (end_ - kChunkAreaOffset) / kChunkSize;
 
   ms->set_rpc_handler([this](uint64_t opcode, uint64_t arg, uint64_t arg2,
-                             uint16_t) {
+                             std::string*) {
     switch (opcode) {
       case kRpcAllocChunk:
         return AllocChunk();

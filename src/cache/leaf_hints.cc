@@ -36,7 +36,7 @@ LeafHintDirectory::LeafHintDirectory(rdma::MemoryServer* ms,
     : ms_(ms), checker_(checker) {
   ms->ChainRpcHandler(
       kRpcHintPublish, kRpcHintInvalidate,
-      [this](uint64_t opcode, uint64_t arg, uint64_t arg2, uint16_t) {
+      [this](uint64_t opcode, uint64_t arg, uint64_t arg2, std::string*) {
         ms_->ChargeMemoryThread(kHintOpCostNs);
         return opcode == kRpcHintPublish ? Publish(arg, arg2)
                                          : Invalidate(arg);

@@ -1,6 +1,8 @@
 #include "ext/rpc_index.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "sim/sync.h"
 #include "util/logging.h"
@@ -25,8 +27,9 @@ RpcIndex::RpcIndex(rdma::Fabric* fabric) : fabric_(fabric) {
     // the same fabric.
     fabric->ms(ms).ChainRpcHandler(
         kOpPut, kOpMultiPut,
-        [this, ms](uint64_t opcode, uint64_t arg, uint64_t arg2, uint16_t) {
-          return HandleRpc(ms, opcode, arg, arg2);
+        [this, ms](uint64_t opcode, uint64_t arg, uint64_t arg2,
+                   std::string* body) {
+          return HandleRpc(ms, opcode, arg, arg2, body);
         });
   }
 }
@@ -46,68 +49,67 @@ uint64_t RpcIndex::DebugCount() const {
   return n;
 }
 
-uint64_t RpcIndex::HandleRpc(int ms, uint64_t opcode, uint64_t key,
-                             uint64_t value) {
+uint64_t RpcIndex::HandleRpc(int ms, uint64_t opcode, uint64_t arg,
+                             uint64_t arg2, std::string* body) {
   std::map<uint64_t, uint64_t>& shard = shards_[ms];
   switch (opcode) {
     case kOpPut:
-      shard[key] = value;
+      shard[arg] = arg2;
       return 1;
     case kOpGet: {
-      auto it = shard.find(key);
+      auto it = shard.find(arg);
       // Encode found/value: callers reserve value 0 as "absent".
       return it == shard.end() ? 0 : it->second;
     }
     case kOpDelete:
-      return shard.erase(key);
+      return shard.erase(arg);
     case kOpScan: {
-      // key = from; value packs (token << 16 | count). The memory thread
-      // collects this shard's first `count` pairs >= from; the client
-      // merges across shards.
-      const uint64_t token = value >> 16;
-      const uint32_t count = static_cast<uint32_t>(value & 0xffff);
-      std::vector<std::pair<uint64_t, uint64_t>>& out = scan_out_[token];
-      uint32_t got = 0;
-      for (auto it = shard.lower_bound(key);
-           it != shard.end() && got < count; ++it, ++got) {
-        out.emplace_back(it->first, it->second);
+      // (arg, arg2) = (from, count). The memory thread returns this
+      // shard's first `count` pairs >= from in the body and their number
+      // in the word; the client merges across shards.
+      rdma::RpcWriter out(body);
+      uint64_t got = 0;
+      for (auto it = shard.lower_bound(arg); it != shard.end() && got < arg2;
+           ++it, ++got) {
+        out.Put(it->first);
+        out.Put(it->second);
       }
       return got;
     }
     case kOpMultiGet: {
-      // key = token; the caller staged the key list under it. One RPC slot
-      // covers the first key; each additional map probe costs the wimpy
-      // core a quarter slot, charged so batches show up in the FIFO
-      // backlog without erasing the coalescing win.
-      const auto in = mget_in_.find(key);
-      SHERMAN_CHECK(in != mget_in_.end());
-      std::vector<uint64_t>& out = mget_out_[key];
+      // arg = key count; the body holds the keys and the response body one
+      // value per key (0 = absent). One RPC slot covers the first key; each
+      // additional map probe costs the wimpy core a quarter slot, charged
+      // so batches show up in the FIFO backlog without erasing the
+      // coalescing win.
+      rdma::RpcReader in(std::move(*body));
+      rdma::RpcWriter out(body);
       uint64_t found = 0;
-      for (uint64_t k : in->second) {
-        auto it = shard.find(k);
-        out.push_back(it == shard.end() ? 0 : it->second);
+      for (uint64_t i = 0; i < arg; i++) {
+        auto it = shard.find(in.Get<uint64_t>());
+        out.Put(it == shard.end() ? uint64_t{0} : it->second);
         if (it != shard.end()) found++;
       }
-      if (in->second.size() > 1) {
-        fabric_->ms(ms).ChargeMemoryThread(
-            static_cast<sim::SimTime>(in->second.size() - 1) *
-            fabric_->config().rpc_service_ns / 4);
+      if (arg > 1) {
+        fabric_->ms(ms).ChargeMemoryThread(static_cast<sim::SimTime>(arg - 1) *
+                                           fabric_->config().rpc_service_ns /
+                                           4);
       }
-      mget_in_.erase(in);
       return found;
     }
     case kOpMultiPut: {
-      const auto in = mput_in_.find(key);
-      SHERMAN_CHECK(in != mput_in_.end());
-      for (const auto& [k, v] : in->second) shard[k] = v;
-      const uint64_t n = in->second.size();
-      if (n > 1) {
-        fabric_->ms(ms).ChargeMemoryThread(
-            static_cast<sim::SimTime>(n - 1) *
-            fabric_->config().rpc_service_ns / 4);
+      // arg = pair count; the body holds the pairs. Charged like MultiGet.
+      rdma::RpcReader in(std::exchange(*body, std::string()));
+      for (uint64_t i = 0; i < arg; i++) {
+        const uint64_t k = in.Get<uint64_t>();
+        shard[k] = in.Get<uint64_t>();
       }
-      mput_in_.erase(in);
-      return n;
+      if (arg > 1) {
+        fabric_->ms(ms).ChargeMemoryThread(static_cast<sim::SimTime>(arg - 1) *
+                                           fabric_->config().rpc_service_ns /
+                                           4);
+      }
+      return arg;
     }
     default:
       SHERMAN_CHECK_MSG(false, "unknown RpcIndex opcode %llu",
@@ -144,62 +146,58 @@ sim::Task<Status> RpcIndexClient::Delete(uint64_t key, OpStats* stats) {
   co_return r ? Status::OK() : Status::NotFound();
 }
 
-namespace {
-sim::Task<void> ScanShard(rdma::Qp* qp, uint64_t opcode, uint64_t from,
-                          uint64_t packed, sim::CountdownLatch* latch) {
-  co_await qp->Rpc(opcode, from, packed);
+sim::Task<void> RpcIndexClient::ScanShard(
+    int ms, uint64_t from, uint32_t count,
+    std::vector<std::pair<uint64_t, uint64_t>>* out,
+    sim::CountdownLatch* latch) {
+  std::string body;
+  const uint64_t got = co_await index_->fabric()->qp(cs_id_, ms).Rpc(
+      RpcIndex::kOpScan, from, count, &body);
+  rdma::RpcReader in(std::move(body));
+  for (uint64_t i = 0; i < got; i++) {
+    const uint64_t k = in.Get<uint64_t>();
+    out->emplace_back(k, in.Get<uint64_t>());
+  }
   latch->Arrive();
 }
-}  // namespace
 
 sim::Task<Status> RpcIndexClient::RangeQuery(
     uint64_t from, uint32_t count,
     std::vector<std::pair<uint64_t, uint64_t>>* out, OpStats* stats) {
   out->clear();
   if (count == 0) co_return Status::OK();
-  if (count >= (1u << 16)) {  // count rides in 16 bits of the RPC payload
-    co_return Status::InvalidArgument("scan count exceeds 65535");
-  }
-  const uint64_t token = index_->NewScanToken();
-  const uint64_t packed = (token << 16) | count;
   const int num_ms = index_->fabric()->num_memory_servers();
   // Keys are hash-sharded, so every MS holds part of the range; ask them
   // all concurrently (a real client posts the SENDs back to back).
   sim::CountdownLatch latch(num_ms);
   for (int ms = 0; ms < num_ms; ms++) {
-    sim::Spawn(ScanShard(&index_->fabric()->qp(cs_id_, ms), RpcIndex::kOpScan,
-                         from, packed, &latch));
+    sim::Spawn(ScanShard(ms, from, count, out, &latch));
     if (stats != nullptr) stats->round_trips++;
   }
   co_await latch.Wait();
-  auto it = index_->scan_out_.find(token);
-  if (it != index_->scan_out_.end()) {
-    *out = std::move(it->second);
-    index_->scan_out_.erase(it);
-    std::sort(out->begin(), out->end());
-    if (out->size() > count) out->resize(count);
-  }
+  std::sort(out->begin(), out->end());
+  if (out->size() > count) out->resize(count);
   co_return Status::OK();
 }
 
-sim::Task<void> RpcIndexClient::MultiGetShard(int ms, uint64_t token,
+sim::Task<void> RpcIndexClient::MultiGetShard(int ms,
                                               std::vector<uint64_t> keys,
                                               std::vector<size_t> idxs,
                                               std::vector<MultiGetResult>* out,
                                               OpStats* stats,
                                               sim::CountdownLatch* latch) {
-  index_->mget_in_[token] = keys;
-  co_await index_->fabric()->qp(cs_id_, ms).Rpc(RpcIndex::kOpMultiGet, token);
+  std::string body;
+  rdma::RpcWriter w(&body);
+  for (uint64_t k : keys) w.Put(k);
+  co_await index_->fabric()->qp(cs_id_, ms).Rpc(RpcIndex::kOpMultiGet,
+                                                keys.size(), 0, &body);
   if (stats != nullptr) stats->round_trips++;
-  auto it = index_->mget_out_.find(token);
-  SHERMAN_CHECK(it != index_->mget_out_.end() &&
-                it->second.size() == idxs.size());
-  for (size_t j = 0; j < idxs.size(); j++) {
-    const uint64_t v = it->second[j];
-    (*out)[idxs[j]].status = v == 0 ? Status::NotFound() : Status::OK();
-    (*out)[idxs[j]].value = v;
+  rdma::RpcReader in(std::move(body));
+  for (size_t idx : idxs) {
+    const uint64_t v = in.Get<uint64_t>();
+    (*out)[idx].status = v == 0 ? Status::NotFound() : Status::OK();
+    (*out)[idx].value = v;
   }
-  index_->mget_out_.erase(it);
   latch->Arrive();
 }
 
@@ -217,24 +215,26 @@ sim::Task<Status> RpcIndexClient::MultiGet(std::vector<uint64_t> keys,
   }
   sim::CountdownLatch latch(by_ms.size());
   for (auto& [ms, group] : by_ms) {
-    sim::Spawn(MultiGetShard(ms, index_->NewScanToken(),
-                             std::move(group.first), std::move(group.second),
-                             out, stats, &latch));
+    sim::Spawn(MultiGetShard(ms, std::move(group.first),
+                             std::move(group.second), out, stats, &latch));
   }
   co_await latch.Wait();
   co_return Status::OK();
 }
 
 sim::Task<void> RpcIndexClient::MultiInsertShard(
-    int ms, uint64_t token, std::vector<std::pair<uint64_t, uint64_t>> kvs,
-    OpStats* stats, sim::CountdownLatch* latch) {
-  const uint64_t n = kvs.size();
-  index_->mput_in_[token] = std::move(kvs);
-  const uint64_t r =
-      co_await index_->fabric()->qp(cs_id_, ms).Rpc(RpcIndex::kOpMultiPut,
-                                                    token);
+    int ms, std::vector<std::pair<uint64_t, uint64_t>> kvs, OpStats* stats,
+    sim::CountdownLatch* latch) {
+  std::string body;
+  rdma::RpcWriter w(&body);
+  for (const auto& [k, v] : kvs) {
+    w.Put(k);
+    w.Put(v);
+  }
+  const uint64_t r = co_await index_->fabric()->qp(cs_id_, ms).Rpc(
+      RpcIndex::kOpMultiPut, kvs.size(), 0, &body);
   if (stats != nullptr) stats->round_trips++;
-  SHERMAN_CHECK(r == n);
+  SHERMAN_CHECK(r == kvs.size());
   latch->Arrive();
 }
 
@@ -248,8 +248,7 @@ sim::Task<Status> RpcIndexClient::MultiInsert(
   }
   sim::CountdownLatch latch(by_ms.size());
   for (auto& [ms, group] : by_ms) {
-    sim::Spawn(MultiInsertShard(ms, index_->NewScanToken(), std::move(group),
-                                stats, &latch));
+    sim::Spawn(MultiInsertShard(ms, std::move(group), stats, &latch));
   }
   co_await latch.Wait();
   co_return Status::OK();

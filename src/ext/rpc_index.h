@@ -18,6 +18,8 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/stats.h"
@@ -50,6 +52,9 @@ class RpcIndex {
  private:
   friend class RpcIndexClient;
 
+  // Point ops carry (key, value) in the RPC words. Scans and coalesced
+  // batches carry their pairs / keys / values in the RPC body; the words
+  // hold the scan's (from, count) or the batch's key count.
   static constexpr uint64_t kOpPut = 100;
   static constexpr uint64_t kOpGet = 101;
   static constexpr uint64_t kOpDelete = 102;
@@ -57,23 +62,11 @@ class RpcIndex {
   static constexpr uint64_t kOpMultiGet = 104;
   static constexpr uint64_t kOpMultiPut = 105;
 
-  uint64_t NewScanToken() { return next_scan_token_++; }
+  uint64_t HandleRpc(int ms, uint64_t opcode, uint64_t arg, uint64_t arg2,
+                     std::string* body);
 
   rdma::Fabric* fabric_;
   std::vector<std::map<uint64_t, uint64_t>> shards_;  // one per MS
-  // Scan results staged MS-side, keyed by the caller-supplied token (the
-  // sim models the response as one RPC per shard; payload bytes are not
-  // charged, matching the fixed-size RPC model in rdma::Qp).
-  std::map<uint64_t, std::vector<std::pair<uint64_t, uint64_t>>> scan_out_;
-  // Coalesced multi-op payloads, staged under the same token scheme: the
-  // client parks the key/kv list before the RPC, the handler consumes it,
-  // stages the per-key results, and charges the memory thread for the
-  // extra per-key work beyond the one service slot the RPC itself costs.
-  std::map<uint64_t, std::vector<uint64_t>> mget_in_;
-  std::map<uint64_t, std::vector<uint64_t>> mget_out_;  // value, 0 = absent
-  std::map<uint64_t, std::vector<std::pair<uint64_t, uint64_t>>> mput_in_;
-  uint64_t next_scan_token_ = 1;
-  uint64_t HandleRpc(int ms, uint64_t opcode, uint64_t key, uint64_t value);
 };
 
 class RpcIndexClient {
@@ -95,7 +88,7 @@ class RpcIndexClient {
                                OpStats* stats = nullptr);
 
   // Coalesced batch ops: the keys/kvs are grouped by shard and each shard
-  // is asked with ONE RPC carrying the whole sub-batch (token-staged), so
+  // is asked with ONE RPC carrying the whole sub-batch in its body, so
   // a depth-d batch costs ceil(d / shards-touched) service slots of wire
   // overhead instead of d round trips. out->at(i) answers keys[i].
   sim::Task<Status> MultiGet(std::vector<uint64_t> keys,
@@ -106,13 +99,15 @@ class RpcIndexClient {
       OpStats* stats = nullptr);
 
  private:
-  sim::Task<void> MultiGetShard(int ms, uint64_t token,
-                                std::vector<uint64_t> keys,
+  sim::Task<void> ScanShard(int ms, uint64_t from, uint32_t count,
+                            std::vector<std::pair<uint64_t, uint64_t>>* out,
+                            sim::CountdownLatch* latch);
+  sim::Task<void> MultiGetShard(int ms, std::vector<uint64_t> keys,
                                 std::vector<size_t> idxs,
                                 std::vector<MultiGetResult>* out,
                                 OpStats* stats, sim::CountdownLatch* latch);
   sim::Task<void> MultiInsertShard(
-      int ms, uint64_t token, std::vector<std::pair<uint64_t, uint64_t>> kvs,
+      int ms, std::vector<std::pair<uint64_t, uint64_t>> kvs,
       OpStats* stats, sim::CountdownLatch* latch);
 
   RpcIndex* index_;

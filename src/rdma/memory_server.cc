@@ -10,11 +10,12 @@ namespace sherman::rdma {
 void MemoryServer::ChainRpcHandler(uint64_t lo, uint64_t hi, RpcHandler fn) {
   RpcHandler prev = std::move(rpc_handler_);
   rpc_handler_ = [lo, hi, fn = std::move(fn), prev = std::move(prev)](
-                     uint64_t opcode, uint64_t a, uint64_t b, uint16_t from) {
-    if (opcode >= lo && opcode <= hi) return fn(opcode, a, b, from);
+                     uint64_t opcode, uint64_t a, uint64_t b,
+                     std::string* body) {
+    if (opcode >= lo && opcode <= hi) return fn(opcode, a, b, body);
     SHERMAN_CHECK_MSG(prev != nullptr, "unknown RPC opcode %llu",
                       static_cast<unsigned long long>(opcode));
-    return prev(opcode, a, b, from);
+    return prev(opcode, a, b, body);
   };
 }
 

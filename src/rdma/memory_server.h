@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 
 #include "rdma/config.h"
 #include "rdma/memory_region.h"
@@ -16,10 +17,13 @@ namespace sherman::rdma {
 
 class MemoryServer {
  public:
-  // Handler for memory-thread RPCs: (opcode, arg1, arg2, caller CS id) ->
-  // response word. Runs at the simulated service-completion instant.
-  using RpcHandler =
-      std::function<uint64_t(uint64_t, uint64_t, uint64_t, uint16_t)>;
+  // Handler for memory-thread RPCs: (opcode, arg1, arg2, body) -> response
+  // word. *body holds the request payload (empty when the caller sent
+  // none); the handler replaces it with the response payload (rdma::
+  // RpcReader / RpcWriter). Runs at the simulated service-completion
+  // instant.
+  using RpcHandler = std::function<uint64_t(uint64_t, uint64_t, uint64_t,
+                                            std::string*)>;
 
   MemoryServer(uint16_t id, sim::Simulator* sim, const FabricConfig* cfg);
 

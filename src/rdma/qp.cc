@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "fault/crash_point.h"
 #include "rdma/compute_server.h"
@@ -315,12 +316,15 @@ sim::Task<RdmaResult> Qp::PostReadBatch(std::vector<WorkRequest> wrs) {
   co_return result;
 }
 
-sim::Task<uint64_t> Qp::Rpc(uint64_t opcode, uint64_t arg, uint64_t arg2) {
+sim::Task<uint64_t> Qp::Rpc(uint64_t opcode, uint64_t arg, uint64_t arg2,
+                            std::string* body) {
   co_await fault::Injector().FreezeIfDead(cs_->id());
   counters_.rpcs++;
   sim::Simulator* sim = sim_;
   const FabricConfig* cfg = cfg_;
   constexpr uint32_t kRpcBytes = 32;
+  std::string no_body;
+  if (body == nullptr) body = &no_body;
 
   // Request: SEND to the MS.
   const sim::SimTime tx_done = cs_->nic().ReserveTx(sim->now(), kRpcBytes);
@@ -332,7 +336,6 @@ sim::Task<uint64_t> Qp::Rpc(uint64_t opcode, uint64_t arg, uint64_t arg2) {
   uint64_t response = 0;
   MemoryServer* ms = ms_;
   ComputeServer* cs = cs_;
-  const uint16_t from = cs_->id();
   sim::OneShot done;
 
   // The response's NIC/wire legs are reserved at service-completion time,
@@ -340,11 +343,11 @@ sim::Task<uint64_t> Qp::Rpc(uint64_t opcode, uint64_t arg, uint64_t arg2) {
   // reserving the TX engine for a far-future svc_done (a deep memory-thread
   // queue) would stall every later message on this MS — including one-sided
   // READ responses — behind a slot that is not actually occupied yet.
-  sim->At(svc_done, [ms, cs, cfg, sim, opcode, arg, arg2, from, &response,
+  sim->At(svc_done, [ms, cs, cfg, sim, opcode, arg, arg2, body, &response,
                      &done] {
     SHERMAN_CHECK_MSG(ms->rpc_handler() != nullptr,
                       "RPC to MS %u with no handler installed", ms->id());
-    response = ms->rpc_handler()(opcode, arg, arg2, from);
+    response = ms->rpc_handler()(opcode, arg, arg2, body);
 
     // Response: SEND back to the CS.
     const sim::SimTime resp_tx = ms->nic().ReserveTx(sim->now(), kRpcBytes);

@@ -18,12 +18,18 @@
 #define SHERMAN_RDMA_QP_H_
 
 #include <cstdint>
+#include <cstring>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "rdma/config.h"
 #include "rdma/verbs.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
+#include "util/logging.h"
+#include "util/slice.h"
 
 namespace sherman::rdma {
 
@@ -39,6 +45,60 @@ struct QpCounters {
   uint64_t read_bytes = 0;
   uint64_t write_bytes = 0;
   uint64_t rpcs = 0;
+};
+
+// Writes an RPC body: fixed-width integers in host byte order (both ends
+// share one process) and u32-length-prefixed byte strings. Starts the body
+// afresh, so a handler can write its response over the request it read.
+class RpcWriter {
+ public:
+  explicit RpcWriter(std::string* body) : body_(body) { body_->clear(); }
+
+  template <typename T>
+  void Put(T v) {
+    static_assert(std::is_integral_v<T>);
+    body_->append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
+  void PutBytes(const Slice& s) {
+    Put(static_cast<uint32_t>(s.size()));
+    body_->append(s.data(), s.size());
+  }
+
+ private:
+  std::string* body_;
+};
+
+// Reads a body written by RpcWriter, field by field in writing order. It
+// owns the bytes (move the body in), and aborts on a read past the end or
+// when destroyed with bytes left unread.
+class RpcReader {
+ public:
+  explicit RpcReader(std::string body) : body_(std::move(body)) {}
+  ~RpcReader() { SHERMAN_CHECK(pos_ == body_.size()); }
+
+  RpcReader(const RpcReader&) = delete;
+  RpcReader& operator=(const RpcReader&) = delete;
+
+  template <typename T>
+  T Get() {
+    static_assert(std::is_integral_v<T>);
+    SHERMAN_CHECK(sizeof(T) <= body_.size() - pos_);
+    T v{};
+    std::memcpy(&v, body_.data() + pos_, sizeof(v));
+    pos_ += sizeof(v);
+    return v;
+  }
+  std::string GetBytes() {
+    const uint32_t n = Get<uint32_t>();
+    SHERMAN_CHECK(n <= body_.size() - pos_);
+    std::string s = body_.substr(pos_, n);
+    pos_ += n;
+    return s;
+  }
+
+ private:
+  std::string body_;
+  size_t pos_ = 0;
 };
 
 class Qp {
@@ -70,9 +130,13 @@ class Qp {
   // overlap instead of paying a full RTT each.
   sim::Task<RdmaResult> PostReadBatch(std::vector<WorkRequest> wrs);
 
-  // Two-sided RPC to the memory server's memory thread (§4.2.4). Returns the
-  // handler's response word.
-  sim::Task<uint64_t> Rpc(uint64_t opcode, uint64_t arg, uint64_t arg2 = 0);
+  // Two-sided RPC to the memory server's memory thread (§4.2.4). The message
+  // is an opcode, two words and an optional byte body: *body (when given)
+  // carries the request payload in and holds the handler's response payload
+  // when the call returns. Returns the handler's response word. The wire
+  // and service charge is fixed per message, whatever the body size.
+  sim::Task<uint64_t> Rpc(uint64_t opcode, uint64_t arg, uint64_t arg2 = 0,
+                          std::string* body = nullptr);
 
   const QpCounters& counters() const { return counters_; }
   void ResetCounters() { counters_ = QpCounters(); }

@@ -40,6 +40,84 @@ void DmsanRpcMutate(ShermanSystem* system, rdma::GlobalAddress node) {
     c->OnRpcMutate(node.node, node);
   }
 }
+
+// --- op message bodies -------------------------------------------------------
+// Bodies are built from u64 keys/values, byte strings, statuses (code byte
+// plus message) and per-key results, nested in pairs and u32-counted lists.
+
+using KeyValues = std::vector<std::pair<Key, uint64_t>>;
+using VarKeyValues = std::vector<std::pair<std::string, std::string>>;
+
+template <typename T>
+void Put(rdma::RpcWriter* w, const std::vector<T>& v);
+template <typename T>
+void Get(rdma::RpcReader* r, std::vector<T>* v);
+
+void Put(rdma::RpcWriter* w, uint64_t v) { w->Put(v); }
+void Put(rdma::RpcWriter* w, const Slice& s) { w->PutBytes(s); }
+void Put(rdma::RpcWriter* w, const Status& s) {
+  w->Put(static_cast<uint8_t>(s.code()));
+  w->PutBytes(s.message());
+}
+void Put(rdma::RpcWriter* w, const MultiGetResult& r) {
+  Put(w, r.status);
+  Put(w, r.value);
+}
+void Put(rdma::RpcWriter* w, const VarGetResult& r) {
+  Put(w, r.status);
+  Put(w, r.value);
+}
+template <typename A, typename B>
+void Put(rdma::RpcWriter* w, const std::pair<A, B>& p) {
+  Put(w, p.first);
+  Put(w, p.second);
+}
+template <typename T>
+void Put(rdma::RpcWriter* w, const std::vector<T>& v) {
+  w->Put(static_cast<uint32_t>(v.size()));
+  for (const T& x : v) Put(w, x);
+}
+
+void Get(rdma::RpcReader* r, uint64_t* v) { *v = r->Get<uint64_t>(); }
+void Get(rdma::RpcReader* r, std::string* s) { *s = r->GetBytes(); }
+void Get(rdma::RpcReader* r, Status* s) {
+  const auto code = static_cast<Status::Code>(r->Get<uint8_t>());
+  *s = Status::FromCode(code, r->GetBytes());
+}
+void Get(rdma::RpcReader* r, MultiGetResult* m) {
+  Get(r, &m->status);
+  Get(r, &m->value);
+}
+void Get(rdma::RpcReader* r, VarGetResult* m) {
+  Get(r, &m->status);
+  Get(r, &m->value);
+}
+template <typename A, typename B>
+void Get(rdma::RpcReader* r, std::pair<A, B>* p) {
+  Get(r, &p->first);
+  Get(r, &p->second);
+}
+template <typename T>
+void Get(rdma::RpcReader* r, std::vector<T>* v) {
+  v->resize(r->Get<uint32_t>());
+  for (T& x : *v) Get(r, &x);
+}
+
+template <typename... F>
+std::string Encode(const F&... fields) {
+  std::string body;
+  rdma::RpcWriter w(&body);
+  (Put(&w, fields), ...);
+  return body;
+}
+// Decodes a whole body as one T; leftover bytes abort.
+template <typename T>
+T Decode(std::string body) {
+  rdma::RpcReader r(std::move(body));
+  T v{};
+  Get(&r, &v);
+  return v;
+}
 }  // namespace
 
 TreeRpcService::TreeRpcService(ShermanSystem* system) : system_(system) {
@@ -49,50 +127,67 @@ TreeRpcService::TreeRpcService(ShermanSystem* system) : system_(system) {
 
 void TreeRpcService::InstallOn(int ms) {
   system_->fabric().ms(ms).ChainRpcHandler(
-      kOpInsert, kOpMultiVarInsert,
-      [this, ms](uint64_t opcode, uint64_t a, uint64_t b, uint16_t) {
-        return Handle(ms, opcode, a, b);
+      kOpScan, kOpMultiVarInsert,
+      [this, ms](uint64_t opcode, uint64_t a, uint64_t b, std::string* body) {
+        Handle(ms, opcode, a, b, body);
+        return uint64_t{0};
       });
 }
 
-uint64_t TreeRpcService::Handle(int ms, uint64_t opcode, uint64_t a,
-                                uint64_t b) {
+void TreeRpcService::Handle(int ms, uint64_t opcode, uint64_t a, uint64_t b,
+                            std::string* body) {
   // The handler runs atomically at one simulated instant, so a frame-local
   // mutating scope on the executor's own ring is interleaving-safe.
   [[maybe_unused]] obs::TraceCtx trace = obs::TraceCtx::For(
       &system_->tracer(), obs::RingId::RpcExecutor(static_cast<uint16_t>(ms)));
   SHERMAN_TSPAN(&trace, "rpc.execute", opcode, a);
+  const auto count = static_cast<uint32_t>(b);
   switch (opcode) {
-    case kOpInsert:
-      return DoInsert(a, b);
-    case kOpLookup:
-      return DoLookup(a, b);
-    case kOpDelete:
-      return DoDelete(a);
-    case kOpScan:
-      return DoScan(ms, a, static_cast<uint32_t>(b & 0xffff), b >> 16);
+    case kOpScan: {
+      KeyValues got;
+      const Status st = DoScan(ms, a, count, &got);
+      *body = Encode(st, got);
+      return;
+    }
     case kOpMultiGet:
-      return DoMultiGet(ms, a);
+      *body =
+          Encode(DoMultiGet(ms, Decode<std::vector<Key>>(std::move(*body))));
+      return;
     case kOpMultiInsert:
-      return DoMultiInsert(ms, a);
+      *body = Encode(DoMultiInsert(ms, Decode<KeyValues>(std::move(*body))));
+      return;
     case kOpMultiDelete:
-      return DoMultiDelete(ms, a);
-    case kOpVarInsert:
-      return DoVarInsert(ms, a);
-    case kOpVarLookup:
-      return DoVarLookup(ms, a);
+      *body =
+          Encode(DoMultiDelete(ms, Decode<std::vector<Key>>(std::move(*body))));
+      return;
     case kOpVarDelete:
-      return DoVarDelete(ms, a);
-    case kOpVarScan:
-      return DoVarScan(ms, a);
+      *body = Encode(DoVarDelete(ms, Decode<std::string>(std::move(*body))));
+      return;
+    case kOpVarScan: {
+      VarKeyValues got;
+      const Status st =
+          DoVarScan(ms, Decode<std::string>(std::move(*body)), count, &got);
+      *body = Encode(st, got);
+      return;
+    }
     case kOpMultiVarGet:
-      return DoMultiVarGet(ms, a);
+      *body = Encode(DoMultiVarGet(
+          ms, Decode<std::vector<std::string>>(std::move(*body))));
+      return;
     case kOpMultiVarInsert:
-      return DoMultiVarInsert(ms, a);
+      *body =
+          Encode(DoMultiVarInsert(ms, Decode<VarKeyValues>(std::move(*body))));
+      return;
     default:
       SHERMAN_CHECK(false);
-      return 0;
   }
+}
+
+void TreeRpcService::ChargeWalks(int ms, size_t walks) {
+  if (walks <= 1) return;
+  rdma::Fabric& fabric = system_->fabric();
+  fabric.ms(ms).ChargeMemoryThread(static_cast<sim::SimTime>(walks - 1) *
+                                   fabric.config().rpc_service_ns / 2);
 }
 
 rdma::GlobalAddress TreeRpcService::FindNode(Key key, uint8_t level) const {
@@ -130,85 +225,6 @@ bool TreeRpcService::NodeLocked(rdma::GlobalAddress addr) const {
   uint16_t lane = 0;
   std::memcpy(&lane, region.raw(ref.lane_offset()), sizeof(lane));
   return lane != 0;
-}
-
-uint64_t TreeRpcService::DoInsert(Key key, uint64_t value) {
-  const rdma::GlobalAddress leaf = FindLeaf(key);
-  if (leaf.is_null() || NodeLocked(leaf)) {
-    declined_++;
-    return kAckDeclined;
-  }
-  const TreeOptions& o = system_->options();
-  NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
-  DmsanRpcMutate(system_, leaf);
-
-  if (o.two_level_versions) {
-    const NodeView::SlotResult slot = view.FindLeafSlot(key);
-    const uint32_t i = slot.match != UINT32_MAX ? slot.match : slot.empty;
-    if (i == UINT32_MAX) {  // leaf full: split must go one-sided
-      declined_++;
-      return kAckDeclined;
-    }
-    view.SetLeafEntry(i, key, value);
-  } else {
-    if (!view.SortedLeafInsert(key, value)) {
-      declined_++;
-      return kAckDeclined;
-    }
-    SealHostNode(&view, o);
-  }
-  served_++;
-  return kAckOk;
-}
-
-uint64_t TreeRpcService::DoLookup(Key key, uint64_t token) {
-  const rdma::GlobalAddress leaf = FindLeaf(key);
-  if (leaf.is_null()) {
-    declined_++;
-    return kAckDeclined;
-  }
-  const TreeOptions& o = system_->options();
-  NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
-  served_++;
-
-  uint32_t i = UINT32_MAX;
-  if (o.two_level_versions) {
-    i = view.FindLeafSlot(key).match;
-  } else {
-    i = view.SortedLeafFind(key);
-  }
-  if (i == UINT32_MAX) return kAckNotFound;
-  lookup_out_[token] = view.LeafValue(i);
-  return kAckOk;
-}
-
-uint64_t TreeRpcService::DoDelete(Key key) {
-  const rdma::GlobalAddress leaf = FindLeaf(key);
-  if (leaf.is_null() || NodeLocked(leaf)) {
-    declined_++;
-    return kAckDeclined;
-  }
-  const TreeOptions& o = system_->options();
-  NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
-  DmsanRpcMutate(system_, leaf);
-
-  if (o.two_level_versions) {
-    const NodeView::SlotResult slot = view.FindLeafSlot(key);
-    if (slot.match == UINT32_MAX) {
-      served_++;
-      return kAckNotFound;
-    }
-    view.SetLeafEntry(slot.match, kNullKey, 0);
-  } else {
-    if (!view.SortedLeafRemove(key)) {
-      served_++;
-      return kAckNotFound;
-    }
-    SealHostNode(&view, o);
-  }
-  served_++;
-  TryMergeHost(leaf);
-  return kAckOk;
 }
 
 void TreeRpcService::TryMergeHost(rdma::GlobalAddress leaf) {
@@ -276,29 +292,27 @@ void TreeRpcService::TryMergeHost(rdma::GlobalAddress leaf) {
   leaf_merges_++;
 }
 
-uint64_t TreeRpcService::DoScan(int ms, Key from, uint32_t count,
-                                uint64_t token) {
+Status TreeRpcService::DoScan(int ms, Key from, uint32_t count,
+                              KeyValues* out) {
   rdma::GlobalAddress addr = FindLeaf(from);
   if (addr.is_null() || count == 0) {
     declined_++;
-    return kAckDeclined;
+    return Status::Retry("ms-side scan declined");
   }
   const TreeOptions& o = system_->options();
   rdma::Fabric& fabric = system_->fabric();
-  std::vector<std::pair<Key, uint64_t>>& out = scan_out_[token];
-  out.clear();
 
   uint32_t leaves = 0;
   bool end_of_tree = false;
   bool anomaly = false;
-  while (!addr.is_null() && out.size() < count && leaves < kMaxScanLeaves) {
+  while (!addr.is_null() && out->size() < count && leaves < kMaxScanLeaves) {
     NodeView view(fabric.HostRaw(addr), &o.shape);
     if (view.is_free() || !view.is_leaf()) {
       anomaly = true;
       break;
     }
     leaves++;
-    std::vector<std::pair<Key, uint64_t>> got;
+    KeyValues got;
     if (o.two_level_versions) {
       const uint32_t cap = o.shape.leaf_capacity();
       for (uint32_t i = 0; i < cap; i++) {
@@ -314,8 +328,8 @@ uint64_t TreeRpcService::DoScan(int ms, Key from, uint32_t count,
     }
     std::sort(got.begin(), got.end());
     for (const auto& kv : got) {
-      if (out.size() >= count) break;
-      out.push_back(kv);
+      if (out->size() >= count) break;
+      out->push_back(kv);
     }
     if (view.hi_fence() == kMaxKey) {
       end_of_tree = true;
@@ -327,36 +341,30 @@ uint64_t TreeRpcService::DoScan(int ms, Key from, uint32_t count,
       break;
     }
   }
-  if (out.size() > count) out.resize(count);
 
-  // Walking extra leaves costs the wimpy core more than one service slot;
-  // charge half a slot per additional leaf so hot scans show up in the
-  // FIFO backlog the router watches.
-  if (leaves > 1) {
-    fabric.ms(ms).ChargeMemoryThread(
-        (leaves - 1) * fabric.config().rpc_service_ns / 2);
-  }
+  // Walking extra leaves costs the wimpy core more than one service slot,
+  // so hot scans show up in the FIFO backlog the router watches.
+  ChargeWalks(ms, leaves);
 
   // A partial result that is not genuine end-of-data (leaf-budget cap hit,
   // structural anomaly) must decline so the caller retries one-sided —
   // otherwise the same query would return different result sets depending
   // on the router's current assignment.
-  if (out.size() < count && (anomaly || !end_of_tree)) {
-    scan_out_.erase(token);
+  if (out->size() < count && (anomaly || !end_of_tree)) {
+    out->clear();
     declined_++;
-    return kAckDeclined;
+    return Status::Retry("ms-side scan declined");
   }
   served_++;
-  return kAckOk;
+  return Status::OK();
 }
 
-uint64_t TreeRpcService::DoMultiGet(int ms, uint64_t token) {
-  const auto in = mget_in_.find(token);
-  SHERMAN_CHECK(in != mget_in_.end());
+std::vector<MultiGetResult> TreeRpcService::DoMultiGet(
+    int ms, const std::vector<Key>& keys) {
   const TreeOptions& o = system_->options();
-  std::vector<MultiGetResult>& out = mget_out_[token];
-  out.reserve(in->second.size());
-  for (Key key : in->second) {
+  std::vector<MultiGetResult> out;
+  out.reserve(keys.size());
+  for (Key key : keys) {
     MultiGetResult r;
     const rdma::GlobalAddress leaf = FindLeaf(key);
     if (leaf.is_null()) {
@@ -376,24 +384,17 @@ uint64_t TreeRpcService::DoMultiGet(int ms, uint64_t token) {
     }
     out.push_back(r);
   }
-  // Each key beyond the first walks root-to-leaf on the wimpy core: half
-  // a service slot apiece (same rate DoScan charges per extra leaf).
-  if (in->second.size() > 1) {
-    system_->fabric().ms(ms).ChargeMemoryThread(
-        static_cast<sim::SimTime>(in->second.size() - 1) *
-        system_->fabric().config().rpc_service_ns / 2);
-  }
-  mget_in_.erase(in);
-  return kAckOk;
+  // Each key beyond the first walks root-to-leaf on the wimpy core.
+  ChargeWalks(ms, keys.size());
+  return out;
 }
 
-uint64_t TreeRpcService::DoMultiInsert(int ms, uint64_t token) {
-  const auto in = mins_in_.find(token);
-  SHERMAN_CHECK(in != mins_in_.end());
+std::vector<Status> TreeRpcService::DoMultiInsert(int ms,
+                                                  const KeyValues& kvs) {
   const TreeOptions& o = system_->options();
-  std::vector<Status>& out = mins_out_[token];
-  out.reserve(in->second.size());
-  for (const auto& [key, value] : in->second) {
+  std::vector<Status> out;
+  out.reserve(kvs.size());
+  for (const auto& [key, value] : kvs) {
     const rdma::GlobalAddress leaf = FindLeaf(key);
     if (leaf.is_null() || NodeLocked(leaf)) {
       declined_++;
@@ -422,22 +423,16 @@ uint64_t TreeRpcService::DoMultiInsert(int ms, uint64_t token) {
     served_++;
     out.push_back(Status::OK());
   }
-  if (in->second.size() > 1) {
-    system_->fabric().ms(ms).ChargeMemoryThread(
-        static_cast<sim::SimTime>(in->second.size() - 1) *
-        system_->fabric().config().rpc_service_ns / 2);
-  }
-  mins_in_.erase(in);
-  return kAckOk;
+  ChargeWalks(ms, kvs.size());
+  return out;
 }
 
-uint64_t TreeRpcService::DoMultiDelete(int ms, uint64_t token) {
-  const auto in = mdel_in_.find(token);
-  SHERMAN_CHECK(in != mdel_in_.end());
+std::vector<Status> TreeRpcService::DoMultiDelete(
+    int ms, const std::vector<Key>& keys) {
   const TreeOptions& o = system_->options();
-  std::vector<Status>& out = mdel_out_[token];
-  out.reserve(in->second.size());
-  for (Key key : in->second) {
+  std::vector<Status> out;
+  out.reserve(keys.size());
+  for (Key key : keys) {
     const rdma::GlobalAddress leaf = FindLeaf(key);
     if (leaf.is_null() || NodeLocked(leaf)) {
       declined_++;
@@ -467,15 +462,8 @@ uint64_t TreeRpcService::DoMultiDelete(int ms, uint64_t token) {
       out.push_back(Status::NotFound());
     }
   }
-  // Each key beyond the first walks root-to-leaf on the wimpy core: half
-  // a service slot apiece (same rate as the other coalesced batches).
-  if (in->second.size() > 1) {
-    system_->fabric().ms(ms).ChargeMemoryThread(
-        static_cast<sim::SimTime>(in->second.size() - 1) *
-        system_->fabric().config().rpc_service_ns / 2);
-  }
-  mdel_in_.erase(in);
-  return kAckOk;
+  ChargeWalks(ms, keys.size());
+  return out;
 }
 
 // --- varlen executors -------------------------------------------------------
@@ -520,7 +508,7 @@ Status TreeRpcService::HostVarLookup(int ms, const std::string& key,
   return Status::OK();
 }
 
-Status TreeRpcService::HostVarInsert(int /*ms*/, const std::string& key,
+Status TreeRpcService::HostVarInsert(const std::string& key,
                                      const std::string& value) {
   const TreeOptions& o = system_->options();
   // Values above the threshold need the client's value-log appender.
@@ -552,52 +540,18 @@ Status TreeRpcService::HostVarInsert(int /*ms*/, const std::string& key,
   return Status::OK();
 }
 
-uint64_t TreeRpcService::DoVarInsert(int ms, uint64_t token) {
-  const auto in = vins_in_.find(token);
-  SHERMAN_CHECK(in != vins_in_.end());
-  const Status st = HostVarInsert(ms, in->second.first, in->second.second);
-  vins_in_.erase(in);
-  if (st.IsRetry()) {
-    declined_++;
-    return kAckDeclined;
-  }
-  served_++;
-  return kAckOk;
-}
-
-uint64_t TreeRpcService::DoVarLookup(int ms, uint64_t token) {
-  const auto in = vkey_in_.find(token);
-  SHERMAN_CHECK(in != vkey_in_.end());
-  std::string value;
-  const Status st = HostVarLookup(ms, in->second, &value);
-  vkey_in_.erase(in);
-  if (st.IsRetry()) {
-    declined_++;
-    return kAckDeclined;
-  }
-  served_++;
-  if (st.IsNotFound()) return kAckNotFound;
-  vget_out_[token] = std::move(value);
-  return kAckOk;
-}
-
-uint64_t TreeRpcService::DoVarDelete(int ms, uint64_t token) {
-  const auto in = vkey_in_.find(token);
-  SHERMAN_CHECK(in != vkey_in_.end());
-  const std::string key = std::move(in->second);
-  vkey_in_.erase(in);
-
+Status TreeRpcService::DoVarDelete(int ms, const std::string& key) {
   const rdma::GlobalAddress leaf = FindLeaf(RoutingKeyFor(key));
   if (leaf.is_null() || NodeLocked(leaf)) {
     declined_++;
-    return kAckDeclined;
+    return Status::Retry("ms-side var delete declined");
   }
   const TreeOptions& o = system_->options();
   NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
   const uint32_t at = view.VarFind(key);
   if (at == UINT32_MAX) {
     served_++;
-    return kAckNotFound;
+    return Status::NotFound();
   }
   uint64_t ptr = 0;
   if (view.VarOutline(at)) {
@@ -606,7 +560,7 @@ uint64_t TreeRpcService::DoVarDelete(int ms, uint64_t token) {
       // The extent's dead-bit lives on another MS; retiring it here would
       // be a remote call. One-sided delete owns that.
       declined_++;
-      return kAckDeclined;
+      return Status::Retry("ms-side var delete: foreign extent");
     }
   }
   DmsanRpcMutate(system_, leaf);
@@ -618,30 +572,23 @@ uint64_t TreeRpcService::DoVarDelete(int ms, uint64_t token) {
   // No MS-side merge for slotted leaves: byte-budget merges run through
   // the one-sided delete path's locked three-node protocol.
   served_++;
-  return kAckOk;
+  return Status::OK();
 }
 
-uint64_t TreeRpcService::DoVarScan(int ms, uint64_t token) {
-  const auto in = vscan_in_.find(token);
-  SHERMAN_CHECK(in != vscan_in_.end());
-  const std::string from = std::move(in->second.first);
-  const uint32_t count = in->second.second;
-  vscan_in_.erase(in);
-
+Status TreeRpcService::DoVarScan(int ms, const std::string& from,
+                                 uint32_t count, VarKeyValues* out) {
   rdma::GlobalAddress addr = FindLeaf(RoutingKeyFor(from));
   if (addr.is_null() || count == 0) {
     declined_++;
-    return kAckDeclined;
+    return Status::Retry("ms-side var scan declined");
   }
   const TreeOptions& o = system_->options();
   rdma::Fabric& fabric = system_->fabric();
-  std::vector<std::pair<std::string, std::string>>& out = vscan_out_[token];
-  out.clear();
 
   uint32_t leaves = 0;
   bool end_of_tree = false;
   bool anomaly = false;
-  while (!addr.is_null() && out.size() < count && leaves < kMaxScanLeaves) {
+  while (!addr.is_null() && out->size() < count && leaves < kMaxScanLeaves) {
     NodeView view(fabric.HostRaw(addr), &o.shape);
     if (view.is_free() || !view.is_leaf()) {
       anomaly = true;
@@ -649,7 +596,7 @@ uint64_t TreeRpcService::DoVarScan(int ms, uint64_t token) {
     }
     leaves++;
     const uint32_t n = view.count();
-    for (uint32_t i = 0; i < n && out.size() < count; i++) {
+    for (uint32_t i = 0; i < n && out->size() < count; i++) {
       std::string k = view.VarFullKey(i);
       if (k < from) continue;
       std::string v;
@@ -659,7 +606,7 @@ uint64_t TreeRpcService::DoVarScan(int ms, uint64_t token) {
         anomaly = true;
         break;
       }
-      out.emplace_back(std::move(k), std::move(v));
+      out->emplace_back(std::move(k), std::move(v));
     }
     if (anomaly) break;
     if (view.hi_fence() == kMaxKey) {
@@ -673,25 +620,21 @@ uint64_t TreeRpcService::DoVarScan(int ms, uint64_t token) {
     }
   }
 
-  if (leaves > 1) {
-    fabric.ms(ms).ChargeMemoryThread(
-        (leaves - 1) * fabric.config().rpc_service_ns / 2);
-  }
-  if (out.size() < count && (anomaly || !end_of_tree)) {
-    vscan_out_.erase(token);
+  ChargeWalks(ms, leaves);
+  if (out->size() < count && (anomaly || !end_of_tree)) {
+    out->clear();
     declined_++;
-    return kAckDeclined;
+    return Status::Retry("ms-side var scan declined");
   }
   served_++;
-  return kAckOk;
+  return Status::OK();
 }
 
-uint64_t TreeRpcService::DoMultiVarGet(int ms, uint64_t token) {
-  const auto in = mvget_in_.find(token);
-  SHERMAN_CHECK(in != mvget_in_.end());
-  std::vector<VarGetResult>& out = mvget_out_[token];
-  out.reserve(in->second.size());
-  for (const std::string& key : in->second) {
+std::vector<VarGetResult> TreeRpcService::DoMultiVarGet(
+    int ms, const std::vector<std::string>& keys) {
+  std::vector<VarGetResult> out;
+  out.reserve(keys.size());
+  for (const std::string& key : keys) {
     VarGetResult r;
     r.status = HostVarLookup(ms, key, &r.value);
     if (r.status.IsRetry()) {
@@ -701,22 +644,16 @@ uint64_t TreeRpcService::DoMultiVarGet(int ms, uint64_t token) {
     }
     out.push_back(std::move(r));
   }
-  if (in->second.size() > 1) {
-    system_->fabric().ms(ms).ChargeMemoryThread(
-        static_cast<sim::SimTime>(in->second.size() - 1) *
-        system_->fabric().config().rpc_service_ns / 2);
-  }
-  mvget_in_.erase(in);
-  return kAckOk;
+  ChargeWalks(ms, keys.size());
+  return out;
 }
 
-uint64_t TreeRpcService::DoMultiVarInsert(int ms, uint64_t token) {
-  const auto in = mvins_in_.find(token);
-  SHERMAN_CHECK(in != mvins_in_.end());
-  std::vector<Status>& out = mvins_out_[token];
-  out.reserve(in->second.size());
-  for (const auto& [key, value] : in->second) {
-    Status st = HostVarInsert(ms, key, value);
+std::vector<Status> TreeRpcService::DoMultiVarInsert(int ms,
+                                                     const VarKeyValues& kvs) {
+  std::vector<Status> out;
+  out.reserve(kvs.size());
+  for (const auto& [key, value] : kvs) {
+    Status st = HostVarInsert(key, value);
     if (st.IsRetry()) {
       declined_++;
     } else {
@@ -724,158 +661,60 @@ uint64_t TreeRpcService::DoMultiVarInsert(int ms, uint64_t token) {
     }
     out.push_back(std::move(st));
   }
-  if (in->second.size() > 1) {
-    system_->fabric().ms(ms).ChargeMemoryThread(
-        static_cast<sim::SimTime>(in->second.size() - 1) *
-        system_->fabric().config().rpc_service_ns / 2);
-  }
-  mvins_in_.erase(in);
-  return kAckOk;
-}
-
-std::string TreeRpcService::TakeVarLookupResult(uint64_t token) {
-  auto it = vget_out_.find(token);
-  SHERMAN_CHECK(it != vget_out_.end());
-  std::string v = std::move(it->second);
-  vget_out_.erase(it);
-  return v;
-}
-
-std::vector<std::pair<std::string, std::string>>
-TreeRpcService::TakeVarScanResult(uint64_t token) {
-  std::vector<std::pair<std::string, std::string>> out;
-  auto it = vscan_out_.find(token);
-  if (it != vscan_out_.end()) {
-    out = std::move(it->second);
-    vscan_out_.erase(it);
-  }
-  return out;
-}
-
-std::vector<VarGetResult> TreeRpcService::TakeMultiVarGetResult(
-    uint64_t token) {
-  auto it = mvget_out_.find(token);
-  SHERMAN_CHECK(it != mvget_out_.end());
-  std::vector<VarGetResult> out = std::move(it->second);
-  mvget_out_.erase(it);
-  return out;
-}
-
-std::vector<Status> TreeRpcService::TakeMultiVarInsertResult(uint64_t token) {
-  auto it = mvins_out_.find(token);
-  SHERMAN_CHECK(it != mvins_out_.end());
-  std::vector<Status> out = std::move(it->second);
-  mvins_out_.erase(it);
-  return out;
-}
-
-std::vector<MultiGetResult> TreeRpcService::TakeMultiGetResult(
-    uint64_t token) {
-  std::vector<MultiGetResult> out;
-  auto it = mget_out_.find(token);
-  SHERMAN_CHECK(it != mget_out_.end());
-  out = std::move(it->second);
-  mget_out_.erase(it);
-  return out;
-}
-
-std::vector<Status> TreeRpcService::TakeMultiInsertResult(uint64_t token) {
-  std::vector<Status> out;
-  auto it = mins_out_.find(token);
-  SHERMAN_CHECK(it != mins_out_.end());
-  out = std::move(it->second);
-  mins_out_.erase(it);
-  return out;
-}
-
-std::vector<Status> TreeRpcService::TakeMultiDeleteResult(uint64_t token) {
-  std::vector<Status> out;
-  auto it = mdel_out_.find(token);
-  SHERMAN_CHECK(it != mdel_out_.end());
-  out = std::move(it->second);
-  mdel_out_.erase(it);
-  return out;
-}
-
-uint64_t TreeRpcService::TakeLookupResult(uint64_t token) {
-  auto it = lookup_out_.find(token);
-  SHERMAN_CHECK(it != lookup_out_.end());
-  const uint64_t v = it->second;
-  lookup_out_.erase(it);
-  return v;
-}
-
-std::vector<std::pair<Key, uint64_t>> TreeRpcService::TakeScanResult(
-    uint64_t token) {
-  std::vector<std::pair<Key, uint64_t>> out;
-  auto it = scan_out_.find(token);
-  if (it != scan_out_.end()) {
-    out = std::move(it->second);
-    scan_out_.erase(it);
-  }
+  ChargeWalks(ms, kvs.size());
   return out;
 }
 
 // --- client stub -----------------------------------------------------------
 
+sim::Task<std::string> TreeRpcClient::Call(uint16_t ms, uint64_t opcode,
+                                           uint64_t a, uint64_t b,
+                                           std::string body, OpStats* stats) {
+  co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(opcode, a, b,
+                                                           &body);
+  if (stats != nullptr) stats->round_trips++;
+  co_return body;
+}
+
 sim::Task<Status> TreeRpcClient::Insert(uint16_t ms, Key key, uint64_t value,
                                         OpStats* stats) {
-  SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpInsert, key, value);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side insert declined");
-  }
-  co_return Status::OK();
+  std::vector<Status> per_key;
+  co_await MultiInsert(ms, KeyValues(1, std::make_pair(key, value)), &per_key,
+                       stats);
+  co_return per_key[0];
 }
 
 sim::Task<Status> TreeRpcClient::Lookup(uint16_t ms, Key key, uint64_t* value,
                                         OpStats* stats) {
-  SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
-  const uint64_t token = service_->NewToken();
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpLookup, key, token);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side lookup declined");
-  }
-  if (r == TreeRpcService::kAckNotFound) co_return Status::NotFound();
-  *value = service_->TakeLookupResult(token);
-  co_return Status::OK();
+  std::vector<MultiGetResult> got;
+  co_await MultiGet(ms, std::vector<Key>(1, key), &got, stats);
+  if (got[0].status.ok()) *value = got[0].value;
+  co_return got[0].status;
 }
 
 sim::Task<Status> TreeRpcClient::Delete(uint16_t ms, Key key, OpStats* stats) {
-  SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpDelete, key, 0);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side delete declined");
-  }
-  co_return r == TreeRpcService::kAckOk ? Status::OK() : Status::NotFound();
+  std::vector<Status> per_key;
+  co_await MultiDelete(ms, std::vector<Key>(1, key), &per_key, stats);
+  co_return per_key[0];
 }
 
-sim::Task<Status> TreeRpcClient::RangeQuery(
-    uint16_t ms, Key from, uint32_t count,
-    std::vector<std::pair<Key, uint64_t>>* out, OpStats* stats) {
+sim::Task<Status> TreeRpcClient::RangeQuery(uint16_t ms, Key from,
+                                            uint32_t count, KeyValues* out,
+                                            OpStats* stats) {
   SHERMAN_CHECK(from != kNullKey && from != kMaxKey);
   out->clear();
   if (count == 0) co_return Status::OK();
   if (count >= (1u << 16)) {
-    // The scan RPC packs the count into 16 bits; a scan this large would
-    // blow the MS-side leaf budget anyway. Serve it one-sided.
+    // A scan this long needs more leaves than the executor's walk budget
+    // (kMaxScanLeaves = 64 leaves, each under 1K entries at node sizes up
+    // to 16 KB), so the executor would decline it unless the tree ended
+    // first. Serve it one-sided without the round trip.
     co_return Status::Retry("scan too large for ms-side execution");
   }
-  const uint64_t token = service_->NewToken();
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpScan, from, (token << 16) | count);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side scan declined");
-  }
-  *out = service_->TakeScanResult(token);
-  co_return Status::OK();
+  auto [st, got] = Decode<std::pair<Status, KeyValues>>(
+      co_await Call(ms, TreeRpcService::kOpScan, from, count, {}, stats));
+  *out = std::move(got);
+  co_return st;
 }
 
 sim::Task<Status> TreeRpcClient::MultiGet(uint16_t ms, std::vector<Key> keys,
@@ -884,33 +723,21 @@ sim::Task<Status> TreeRpcClient::MultiGet(uint16_t ms, std::vector<Key> keys,
   out->assign(keys.size(), MultiGetResult{});
   if (keys.empty()) co_return Status::OK();
   for (Key k : keys) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
-  const size_t n = keys.size();
-  const uint64_t token = service_->NewToken();
-  service_->StageMultiGet(token, std::move(keys));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpMultiGet, token);
-  if (stats != nullptr) stats->round_trips++;
-  SHERMAN_CHECK(r == TreeRpcService::kAckOk);
-  *out = service_->TakeMultiGetResult(token);
-  SHERMAN_CHECK(out->size() == n);
+  *out = Decode<std::vector<MultiGetResult>>(co_await Call(
+      ms, TreeRpcService::kOpMultiGet, 0, 0, Encode(keys), stats));
+  SHERMAN_CHECK(out->size() == keys.size());
   co_return Status::OK();
 }
 
-sim::Task<Status> TreeRpcClient::MultiInsert(
-    uint16_t ms, std::vector<std::pair<Key, uint64_t>> kvs,
-    std::vector<Status>* per_key, OpStats* stats) {
+sim::Task<Status> TreeRpcClient::MultiInsert(uint16_t ms, KeyValues kvs,
+                                             std::vector<Status>* per_key,
+                                             OpStats* stats) {
   per_key->assign(kvs.size(), Status::OK());
   if (kvs.empty()) co_return Status::OK();
   for (const auto& [k, v] : kvs) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
-  const size_t n = kvs.size();
-  const uint64_t token = service_->NewToken();
-  service_->StageMultiInsert(token, std::move(kvs));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpMultiInsert, token);
-  if (stats != nullptr) stats->round_trips++;
-  SHERMAN_CHECK(r == TreeRpcService::kAckOk);
-  *per_key = service_->TakeMultiInsertResult(token);
-  SHERMAN_CHECK(per_key->size() == n);
+  *per_key = Decode<std::vector<Status>>(co_await Call(
+      ms, TreeRpcService::kOpMultiInsert, 0, 0, Encode(kvs), stats));
+  SHERMAN_CHECK(per_key->size() == kvs.size());
   co_return Status::OK();
 }
 
@@ -921,77 +748,47 @@ sim::Task<Status> TreeRpcClient::MultiDelete(uint16_t ms,
   per_key->assign(keys.size(), Status::NotFound());
   if (keys.empty()) co_return Status::OK();
   for (Key k : keys) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
-  const size_t n = keys.size();
-  const uint64_t token = service_->NewToken();
-  service_->StageMultiDelete(token, std::move(keys));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpMultiDelete, token);
-  if (stats != nullptr) stats->round_trips++;
-  SHERMAN_CHECK(r == TreeRpcService::kAckOk);
-  *per_key = service_->TakeMultiDeleteResult(token);
-  SHERMAN_CHECK(per_key->size() == n);
+  *per_key = Decode<std::vector<Status>>(co_await Call(
+      ms, TreeRpcService::kOpMultiDelete, 0, 0, Encode(keys), stats));
+  SHERMAN_CHECK(per_key->size() == keys.size());
   co_return Status::OK();
 }
 
 sim::Task<Status> TreeRpcClient::InsertVar(uint16_t ms, const Slice& key,
                                            const Slice& value,
                                            OpStats* stats) {
-  const uint64_t token = service_->NewToken();
-  service_->StageVarInsert(token, std::string(key.data(), key.size()),
-                           std::string(value.data(), value.size()));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpVarInsert, token, 0);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side var insert declined");
-  }
-  co_return Status::OK();
+  std::vector<Status> per_key;
+  co_await MultiInsertVar(
+      ms, VarKeyValues(1, std::make_pair(key.ToString(), value.ToString())),
+      &per_key, stats);
+  co_return per_key[0];
 }
 
 sim::Task<Status> TreeRpcClient::LookupVar(uint16_t ms, const Slice& key,
                                            std::string* value,
                                            OpStats* stats) {
-  const uint64_t token = service_->NewToken();
-  service_->StageVarKey(token, std::string(key.data(), key.size()));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpVarLookup, token, 0);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side var lookup declined");
-  }
-  if (r == TreeRpcService::kAckNotFound) co_return Status::NotFound();
-  *value = service_->TakeVarLookupResult(token);
-  co_return Status::OK();
+  std::vector<VarGetResult> got;
+  co_await MultiGetVar(ms, std::vector<std::string>(1, key.ToString()), &got,
+                      stats);
+  if (got[0].status.ok()) *value = std::move(got[0].value);
+  co_return got[0].status;
 }
 
 sim::Task<Status> TreeRpcClient::DeleteVar(uint16_t ms, const Slice& key,
                                            OpStats* stats) {
-  const uint64_t token = service_->NewToken();
-  service_->StageVarKey(token, std::string(key.data(), key.size()));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpVarDelete, token, 0);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side var delete declined");
-  }
-  co_return r == TreeRpcService::kAckOk ? Status::OK() : Status::NotFound();
+  co_return Decode<Status>(co_await Call(
+      ms, TreeRpcService::kOpVarDelete, 0, 0, Encode(key), stats));
 }
 
-sim::Task<Status> TreeRpcClient::ScanVar(
-    uint16_t ms, const Slice& from, uint32_t count,
-    std::vector<std::pair<std::string, std::string>>* out, OpStats* stats) {
+sim::Task<Status> TreeRpcClient::ScanVar(uint16_t ms, const Slice& from,
+                                         uint32_t count, VarKeyValues* out,
+                                         OpStats* stats) {
   out->clear();
   if (count == 0) co_return Status::OK();
-  const uint64_t token = service_->NewToken();
-  service_->StageVarScan(token, std::string(from.data(), from.size()), count);
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpVarScan, token, 0);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side var scan declined");
-  }
-  *out = service_->TakeVarScanResult(token);
-  co_return Status::OK();
+  auto [st, got] = Decode<std::pair<Status, VarKeyValues>>(co_await Call(
+      ms, TreeRpcService::kOpVarScan, 0, count, Encode(from), stats));
+  *out = std::move(got);
+  co_return st;
 }
 
 sim::Task<Status> TreeRpcClient::MultiGetVar(uint16_t ms,
@@ -1000,32 +797,20 @@ sim::Task<Status> TreeRpcClient::MultiGetVar(uint16_t ms,
                                              OpStats* stats) {
   out->assign(keys.size(), VarGetResult{});
   if (keys.empty()) co_return Status::OK();
-  const size_t n = keys.size();
-  const uint64_t token = service_->NewToken();
-  service_->StageMultiVarGet(token, std::move(keys));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpMultiVarGet, token);
-  if (stats != nullptr) stats->round_trips++;
-  SHERMAN_CHECK(r == TreeRpcService::kAckOk);
-  *out = service_->TakeMultiVarGetResult(token);
-  SHERMAN_CHECK(out->size() == n);
+  *out = Decode<std::vector<VarGetResult>>(co_await Call(
+      ms, TreeRpcService::kOpMultiVarGet, 0, 0, Encode(keys), stats));
+  SHERMAN_CHECK(out->size() == keys.size());
   co_return Status::OK();
 }
 
-sim::Task<Status> TreeRpcClient::MultiInsertVar(
-    uint16_t ms, std::vector<std::pair<std::string, std::string>> kvs,
-    std::vector<Status>* per_key, OpStats* stats) {
+sim::Task<Status> TreeRpcClient::MultiInsertVar(uint16_t ms, VarKeyValues kvs,
+                                                std::vector<Status>* per_key,
+                                                OpStats* stats) {
   per_key->assign(kvs.size(), Status::OK());
   if (kvs.empty()) co_return Status::OK();
-  const size_t n = kvs.size();
-  const uint64_t token = service_->NewToken();
-  service_->StageMultiVarInsert(token, std::move(kvs));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpMultiVarInsert, token);
-  if (stats != nullptr) stats->round_trips++;
-  SHERMAN_CHECK(r == TreeRpcService::kAckOk);
-  *per_key = service_->TakeMultiVarInsertResult(token);
-  SHERMAN_CHECK(per_key->size() == n);
+  *per_key = Decode<std::vector<Status>>(co_await Call(
+      ms, TreeRpcService::kOpMultiVarInsert, 0, 0, Encode(kvs), stats));
+  SHERMAN_CHECK(per_key->size() == kvs.size());
   co_return Status::OK();
 }
 

@@ -26,7 +26,6 @@
 #define SHERMAN_ROUTE_TREE_RPC_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,37 +39,32 @@ namespace sherman::route {
 
 class TreeRpcService {
  public:
-  static constexpr uint64_t kOpInsert = 200;
-  static constexpr uint64_t kOpLookup = 201;
-  static constexpr uint64_t kOpDelete = 202;
-  static constexpr uint64_t kOpScan = 203;
-  // Coalesced batches: one RPC carries a token under which the caller
-  // staged the key/kv list; per-key outcomes are staged back. Each key
-  // beyond the first charges the memory thread half a service slot (a
-  // root-to-leaf walk per key), so batches are cheaper than op-at-a-time
-  // RPCs but still show up in the FIFO backlog the router watches.
-  static constexpr uint64_t kOpMultiGet = 204;
-  static constexpr uint64_t kOpMultiInsert = 205;
-  static constexpr uint64_t kOpMultiDelete = 206;
-  // Varlen (slotted-leaf) ops. Byte keys/values cannot ride the fixed-size
-  // RPC words, so EVERY var op stages its operands under a token like the
-  // coalesced batches. The executor serves inline records only: values
-  // above inline_threshold need the client's value-log appender, and
-  // out-of-line values whose extent lives on a FOREIGN MS are not
-  // near-memory — both decline to the one-sided path.
-  static constexpr uint64_t kOpVarInsert = 207;
-  static constexpr uint64_t kOpVarLookup = 208;
-  static constexpr uint64_t kOpVarDelete = 209;
-  static constexpr uint64_t kOpVarScan = 210;
-  static constexpr uint64_t kOpMultiVarGet = 211;
-  static constexpr uint64_t kOpMultiVarInsert = 212;
-
-  // Response words for write ops; lookups/scans return found counts and
-  // stage values out-of-band under a token (the sim's RPC messages are
-  // fixed-size, matching rdma::Qp).
-  static constexpr uint64_t kAckNotFound = 0;
-  static constexpr uint64_t kAckOk = 1;
-  static constexpr uint64_t kAckDeclined = ~0ull;
+  // Every op message carries its operands and results in the RPC body
+  // (rdma::RpcWriter / RpcReader): keys, values, per-key statuses and scan
+  // results. A singleton point op is a batch of one. Statuses are OK,
+  // NotFound, or Retry (declined: locked leaf / full leaf / anomaly — the
+  // caller falls back one-sided). The RPC itself is charged as one fixed
+  // message each way and one service slot, as in rdma::Qp::Rpc.
+  //
+  // Range scan: words (from, count); response body (status, pairs).
+  static constexpr uint64_t kOpScan = 200;
+  // Coalesced batches: body = the key / kv list; response body = per-key
+  // results. Each key beyond the first charges the memory thread half a
+  // service slot (a root-to-leaf walk per key), so batches are cheaper than
+  // op-at-a-time RPCs but still show up in the FIFO backlog the router
+  // watches.
+  static constexpr uint64_t kOpMultiGet = 201;
+  static constexpr uint64_t kOpMultiInsert = 202;
+  static constexpr uint64_t kOpMultiDelete = 203;
+  // Varlen (slotted-leaf) ops, with byte keys/values in the body. The
+  // executor serves inline records only: values above inline_threshold
+  // need the client's value-log appender, and out-of-line values whose
+  // extent lives on a FOREIGN MS are not near-memory — both decline to the
+  // one-sided path.
+  static constexpr uint64_t kOpVarDelete = 204;  // body: key
+  static constexpr uint64_t kOpVarScan = 205;    // word 2: count; body: from
+  static constexpr uint64_t kOpMultiVarGet = 206;
+  static constexpr uint64_t kOpMultiVarInsert = 207;
 
   // Installs handlers on every MS of the system's fabric, chaining to the
   // previously installed handler for foreign opcodes.
@@ -87,52 +81,6 @@ class TreeRpcService {
   // foreign opcodes to it).
   void InstallOn(int ms);
 
-  uint64_t NewToken() { return next_token_++; }
-  // Fetches and erases the staged result for `token`. Lookup results are
-  // (found, value); scan results are key-ordered pairs.
-  uint64_t TakeLookupResult(uint64_t token);
-  std::vector<std::pair<Key, uint64_t>> TakeScanResult(uint64_t token);
-
-  // Multi-op staging (client side of the coalesced RPCs).
-  void StageMultiGet(uint64_t token, std::vector<Key> keys) {
-    mget_in_[token] = std::move(keys);
-  }
-  void StageMultiInsert(uint64_t token,
-                        std::vector<std::pair<Key, uint64_t>> kvs) {
-    mins_in_[token] = std::move(kvs);
-  }
-  void StageMultiDelete(uint64_t token, std::vector<Key> keys) {
-    mdel_in_[token] = std::move(keys);
-  }
-  // Per-key outcomes; for gets the value rides along. Status is OK,
-  // NotFound, or Retry (declined: locked leaf / full leaf / anomaly).
-  std::vector<MultiGetResult> TakeMultiGetResult(uint64_t token);
-  std::vector<Status> TakeMultiInsertResult(uint64_t token);
-  std::vector<Status> TakeMultiDeleteResult(uint64_t token);
-
-  // Varlen staging (client side of the var RPCs).
-  void StageVarInsert(uint64_t token, std::string key, std::string value) {
-    vins_in_[token] = {std::move(key), std::move(value)};
-  }
-  void StageVarKey(uint64_t token, std::string key) {
-    vkey_in_[token] = std::move(key);
-  }
-  void StageVarScan(uint64_t token, std::string from, uint32_t count) {
-    vscan_in_[token] = {std::move(from), count};
-  }
-  void StageMultiVarGet(uint64_t token, std::vector<std::string> keys) {
-    mvget_in_[token] = std::move(keys);
-  }
-  void StageMultiVarInsert(
-      uint64_t token, std::vector<std::pair<std::string, std::string>> kvs) {
-    mvins_in_[token] = std::move(kvs);
-  }
-  std::string TakeVarLookupResult(uint64_t token);
-  std::vector<std::pair<std::string, std::string>> TakeVarScanResult(
-      uint64_t token);
-  std::vector<VarGetResult> TakeMultiVarGetResult(uint64_t token);
-  std::vector<Status> TakeMultiVarInsertResult(uint64_t token);
-
   uint64_t served() const { return served_; }
   uint64_t declined() const { return declined_; }
   // Leaves merged + reclaimed by the MS-side delete executor (same merge
@@ -140,7 +88,10 @@ class TreeRpcService {
   uint64_t leaf_merges() const { return leaf_merges_; }
 
  private:
-  uint64_t Handle(int ms, uint64_t opcode, uint64_t a, uint64_t b);
+  // Decodes the request body, runs the executor, and writes its results
+  // over the body.
+  void Handle(int ms, uint64_t opcode, uint64_t a, uint64_t b,
+              std::string* body);
 
   // Descends from the root to the level-`level` node covering `key`
   // through raw host memory. Returns null on any structural anomaly
@@ -150,25 +101,27 @@ class TreeRpcService {
   // Is the HOCL global lock lane guarding `addr` currently held?
   bool NodeLocked(rdma::GlobalAddress addr) const;
 
-  uint64_t DoInsert(Key key, uint64_t value);
-  uint64_t DoLookup(Key key, uint64_t token);
-  uint64_t DoDelete(Key key);
-  uint64_t DoScan(int ms, Key from, uint32_t count, uint64_t token);
-  uint64_t DoMultiGet(int ms, uint64_t token);
-  uint64_t DoMultiInsert(int ms, uint64_t token);
-  uint64_t DoMultiDelete(int ms, uint64_t token);
-  uint64_t DoVarInsert(int ms, uint64_t token);
-  uint64_t DoVarLookup(int ms, uint64_t token);
-  uint64_t DoVarDelete(int ms, uint64_t token);
-  uint64_t DoVarScan(int ms, uint64_t token);
-  uint64_t DoMultiVarGet(int ms, uint64_t token);
-  uint64_t DoMultiVarInsert(int ms, uint64_t token);
+  Status DoScan(int ms, Key from, uint32_t count,
+                std::vector<std::pair<Key, uint64_t>>* out);
+  std::vector<MultiGetResult> DoMultiGet(int ms, const std::vector<Key>& keys);
+  std::vector<Status> DoMultiInsert(
+      int ms, const std::vector<std::pair<Key, uint64_t>>& kvs);
+  std::vector<Status> DoMultiDelete(int ms, const std::vector<Key>& keys);
+  Status DoVarDelete(int ms, const std::string& key);
+  Status DoVarScan(int ms, const std::string& from, uint32_t count,
+                   std::vector<std::pair<std::string, std::string>>* out);
+  std::vector<VarGetResult> DoMultiVarGet(int ms,
+                                          const std::vector<std::string>& keys);
+  std::vector<Status> DoMultiVarInsert(
+      int ms, const std::vector<std::pair<std::string, std::string>>& kvs);
+
+  // Charges MS `ms`'s memory thread half a service slot for each of `walks`
+  // node walks beyond the first: per key of a batch, per leaf of a scan.
+  void ChargeWalks(int ms, size_t walks);
 
   // One inline-record var insert against the leaf covering `key` on the
-  // host path; shared by the singleton and coalesced executors. Returns
-  // OK, or Retry naming the decline reason.
-  Status HostVarInsert(int ms, const std::string& key,
-                       const std::string& value);
+  // host path. Returns OK, or Retry naming the decline reason.
+  Status HostVarInsert(const std::string& key, const std::string& value);
   // One var point read; OK/NotFound, or Retry when the record's extent
   // lives on a foreign MS.
   Status HostVarLookup(int ms, const std::string& key, std::string* value);
@@ -185,26 +138,6 @@ class TreeRpcService {
   void TryMergeHost(rdma::GlobalAddress leaf);
 
   ShermanSystem* system_;
-  std::map<uint64_t, uint64_t> lookup_out_;
-  std::map<uint64_t, std::vector<std::pair<Key, uint64_t>>> scan_out_;
-  std::map<uint64_t, std::vector<Key>> mget_in_;
-  std::map<uint64_t, std::vector<MultiGetResult>> mget_out_;
-  std::map<uint64_t, std::vector<std::pair<Key, uint64_t>>> mins_in_;
-  std::map<uint64_t, std::vector<Status>> mins_out_;
-  std::map<uint64_t, std::vector<Key>> mdel_in_;
-  std::map<uint64_t, std::vector<Status>> mdel_out_;
-  std::map<uint64_t, std::pair<std::string, std::string>> vins_in_;
-  std::map<uint64_t, std::string> vkey_in_;
-  std::map<uint64_t, std::string> vget_out_;
-  std::map<uint64_t, std::pair<std::string, uint32_t>> vscan_in_;
-  std::map<uint64_t, std::vector<std::pair<std::string, std::string>>>
-      vscan_out_;
-  std::map<uint64_t, std::vector<std::string>> mvget_in_;
-  std::map<uint64_t, std::vector<VarGetResult>> mvget_out_;
-  std::map<uint64_t, std::vector<std::pair<std::string, std::string>>>
-      mvins_in_;
-  std::map<uint64_t, std::vector<Status>> mvins_out_;
-  uint64_t next_token_ = 1;
   uint64_t served_ = 0;
   uint64_t declined_ = 0;
   uint64_t leaf_merges_ = 0;
@@ -212,7 +145,9 @@ class TreeRpcService {
 
 // Per-compute-server client stub for TreeRpcService. The caller names the
 // target MS (the shard's home, per the router's DEX-style pinning); a Retry
-// status means the MS declined and the op must be retried one-sided.
+// status means the MS declined and the op must be retried one-sided. The
+// singleton point ops (Insert, Lookup, Delete, InsertVar, LookupVar) send
+// a one-key batch.
 class TreeRpcClient {
  public:
   TreeRpcClient(TreeRpcService* service, int cs_id)
@@ -238,8 +173,7 @@ class TreeRpcClient {
   sim::Task<Status> MultiDelete(uint16_t ms, std::vector<Key> keys,
                                 std::vector<Status>* per_key, OpStats* stats);
 
-  // Varlen ops against one MS; operands stage under a token (the RPC
-  // words carry only the token). Retry = declined, retry one-sided.
+  // Varlen ops against one MS. Retry = declined, retry one-sided.
   sim::Task<Status> InsertVar(uint16_t ms, const Slice& key,
                               const Slice& value, OpStats* stats);
   sim::Task<Status> LookupVar(uint16_t ms, const Slice& key,
@@ -256,6 +190,11 @@ class TreeRpcClient {
       std::vector<Status>* per_key, OpStats* stats);
 
  private:
+  // One round trip to MS `ms`'s executor: sends (opcode, a, b, body) and
+  // returns the response body.
+  sim::Task<std::string> Call(uint16_t ms, uint64_t opcode, uint64_t a,
+                              uint64_t b, std::string body, OpStats* stats);
+
   TreeRpcService* service_;
   int cs_id_;
 };

@@ -55,6 +55,10 @@ class Status {
   static Status LeaseSteal(std::string msg = "") {
     return Status(Code::kLeaseSteal, std::move(msg));
   }
+  // Rebuilds a status from its parts (e.g. decoded from an RPC body).
+  static Status FromCode(Code code, std::string msg) {
+    return Status(code, std::move(msg));
+  }
 
   bool ok() const { return code_ == Code::kOk; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }

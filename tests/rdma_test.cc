@@ -2,7 +2,9 @@
 // memory regions, the NIC timing model, verbs, batching, ordering, and RPC.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "rdma/fabric.h"
@@ -388,21 +390,22 @@ TEST_F(FabricTest, ReadAfterPostedWriteSeesData) {
 }
 
 TEST_F(FabricTest, RpcInvokesHandlerFifo) {
-  fabric_.ms(1).set_rpc_handler(
-      [](uint64_t opcode, uint64_t arg, uint64_t arg2,
-         uint16_t from) -> uint64_t {
-        return opcode * 1000 + arg * 10 + arg2 * 100 + from;
-      });
+  fabric_.ms(1).set_rpc_handler([](uint64_t opcode, uint64_t arg,
+                                   uint64_t arg2,
+                                   std::string* body) -> uint64_t {
+    EXPECT_TRUE(body->empty());  // no body sent
+    return opcode * 1000 + arg * 10 + arg2 * 100;
+  });
   RunTask([](Fabric* f) -> sim::Task<void> {
     const uint64_t r = co_await f->qp(0, 1).Rpc(3, 4, 5);
-    EXPECT_EQ(r, 3 * 1000 + 4 * 10 + 5 * 100 + 0u);
+    EXPECT_EQ(r, 3 * 1000 + 4 * 10 + 5 * 100u);
   }(&fabric_));
   EXPECT_EQ(fabric_.ms(1).rpcs_served(), 1u);
 }
 
 TEST_F(FabricTest, RpcSerializedByMemoryThread) {
   fabric_.ms(0).set_rpc_handler(
-      [](uint64_t, uint64_t, uint64_t, uint16_t) -> uint64_t { return 1; });
+      [](uint64_t, uint64_t, uint64_t, std::string*) -> uint64_t { return 1; });
   std::vector<sim::SimTime> completions(4);
   for (int i = 0; i < 4; i++) {
     sim::Spawn([](Fabric* f, sim::SimTime* out) -> sim::Task<void> {
@@ -417,6 +420,65 @@ TEST_F(FabricTest, RpcSerializedByMemoryThread) {
     EXPECT_GE(completions[i] - completions[i - 1],
               fabric_.config().rpc_service_ns);
   }
+}
+
+// 4 KB of `seed`-derived bytes, zero bytes included.
+std::string PatternBytes(uint8_t seed) {
+  std::string s(4096, '\0');
+  for (size_t i = 0; i < s.size(); i++) {
+    s[i] = static_cast<char>((i * 7 + seed) & 0xff);
+  }
+  return s;
+}
+
+TEST_F(FabricTest, RpcBodyRoundTripsAtUnchangedCost) {
+  fabric_.ms(1).set_rpc_handler([](uint64_t opcode, uint64_t, uint64_t,
+                                   std::string* body) -> uint64_t {
+    if (opcode == 1) return 0;  // body-less reference call
+    EXPECT_EQ(*body, PatternBytes(1));
+    *body = PatternBytes(2);
+    return 7;
+  });
+  RunTask([](Fabric* f) -> sim::Task<void> {
+    sim::Simulator& sim = f->simulator();
+    const sim::SimTime t0 = sim.now();
+    co_await f->qp(0, 1).Rpc(1, 0);
+    const sim::SimTime plain = sim.now() - t0;
+
+    std::string body = PatternBytes(1);
+    const sim::SimTime t1 = sim.now();
+    EXPECT_EQ(co_await f->qp(0, 1).Rpc(2, 0, 0, &body), 7u);
+    // The fixed-size message charge holds whatever the body carries.
+    EXPECT_EQ(sim.now() - t1, plain);
+    EXPECT_EQ(body, PatternBytes(2));
+  }(&fabric_));
+}
+
+TEST(RpcBodyTest, WriterReaderRoundTrip) {
+  std::string body = "stale";
+  RpcWriter w(&body);  // starts the body afresh
+  w.Put(uint8_t{0xab});
+  w.Put(uint32_t{70000});
+  w.Put(~uint64_t{0});
+  w.PutBytes(std::string("a\0b\xff", 4));
+  w.PutBytes("");
+  RpcReader r(std::move(body));
+  EXPECT_EQ(r.Get<uint8_t>(), 0xab);
+  EXPECT_EQ(r.Get<uint32_t>(), 70000u);
+  EXPECT_EQ(r.Get<uint64_t>(), ~uint64_t{0});
+  EXPECT_EQ(r.GetBytes(), std::string("a\0b\xff", 4));
+  EXPECT_EQ(r.GetBytes(), "");
+}
+
+TEST(RpcBodyTest, ReaderChecksBoundsAndFullConsumption) {
+  std::string body;
+  RpcWriter(&body).Put(uint32_t{5});
+  // A length prefix naming more bytes than remain.
+  EXPECT_DEATH(RpcReader(body).GetBytes(), "SHERMAN_CHECK");
+  // Reading past the end.
+  EXPECT_DEATH(RpcReader(body).Get<uint64_t>(), "SHERMAN_CHECK");
+  // Leaving bytes unread.
+  EXPECT_DEATH(RpcReader{body}, "SHERMAN_CHECK");
 }
 
 TEST_F(FabricTest, CountersTrackTraffic) {

@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <cstdio>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "bench/runner.h"
@@ -459,6 +461,103 @@ TEST(TreeRpcTest, FullLeafInsertFallsBackAndSplitsOneSided) {
   system.simulator().Run();
   EXPECT_TRUE(done);
   EXPECT_GT(system.tracker().totals().rpc_fallbacks, 0u);
+  system.sherman().DebugCheckInvariants();
+}
+
+TEST(TreeRpcTest, VarlenOpsRoundTripBytesUnderForcedRpc) {
+  HybridOptions o = SmallHybrid(8, RouterOptions::Policy::kAllRpc);
+  o.tree.two_level_versions = false;  // varlen requires sorted leaves
+  o.tree.shape.varlen = true;
+  o.tree.shape.node_size = 512;
+  HybridSystem system(SmallFabric(), o);
+  std::map<std::string, std::string> oracle;
+  for (int i = 1; i <= 300; i++) {
+    char k[16];
+    std::snprintf(k, sizeof(k), "key%05d", i);  // exactly the 8-byte prefix
+    oracle[k] = "v" + std::to_string(i);
+  }
+  system.BulkLoadVar(std::vector<std::pair<std::string, std::string>>(
+                         oracle.begin(), oracle.end()),
+                     0.5);
+  const uint32_t inline_max = system.sherman().options().inline_threshold;
+
+  // '\0' and 0xff bytes after the routing prefix; an empty value, a value
+  // of exactly inline_threshold bytes, and one byte over (declined by the
+  // executor, completed one-sided through the value log).
+  using Kv = std::pair<std::string, std::string>;
+  const std::string nul_ff("\0\xff\0", 3);
+  const std::vector<Kv> singles = {
+      {"key00100" + nul_ff, ""},
+      {"key00100" + std::string("\xff\xff", 2),
+       std::string(inline_max, '\xff')},
+      {"key00150" + std::string(1, '\0'), "x" + nul_ff + "y"},
+      {"key00200" + nul_ff, std::string(inline_max + 1, '\0')},
+  };
+  const std::vector<Kv> batch = {
+      {"key00050" + nul_ff, std::string(inline_max, '\0')},
+      {"key00051" + std::string(2, '\xff'), ""},
+      {"key00052", "replaced" + nul_ff},
+  };
+  for (const auto& kv : singles) oracle[kv.first] = kv.second;
+  for (const auto& kv : batch) oracle[kv.first] = kv.second;
+  const std::string gone = "key00150" + std::string(1, '\0');
+  oracle.erase(gone);
+
+  const uint64_t served_before = system.rpc_service().served();
+  bool done = false;
+  sim::Spawn([](HybridSystem* sys, const std::vector<Kv>* singles,
+                const std::vector<Kv>* batch, const std::string* gone,
+                const std::map<std::string, std::string>* oracle,
+                bool* flag) -> sim::Task<void> {
+    route::HybridClient& c = sys->client(0);
+    for (const auto& [k, v] : *singles) {
+      EXPECT_TRUE((co_await c.InsertVar(k, v)).ok());
+    }
+    EXPECT_TRUE((co_await c.MultiInsertVar(*batch)).ok());
+    EXPECT_TRUE((co_await c.DeleteVar(*gone)).ok());
+    EXPECT_TRUE((co_await c.DeleteVar(*gone)).IsNotFound());
+    std::string v;
+    EXPECT_TRUE((co_await c.LookupVar(*gone, &v)).IsNotFound());
+
+    std::vector<std::string> keys;
+    for (const auto& [k, val] : *singles) keys.push_back(k);
+    for (const auto& [k, val] : *batch) keys.push_back(k);
+    for (const std::string& k : keys) {
+      const auto want = oracle->find(k);
+      if (want == oracle->end()) continue;
+      v = "stale";
+      EXPECT_TRUE((co_await c.LookupVar(k, &v)).ok());
+      EXPECT_EQ(v, want->second);
+    }
+    std::vector<VarGetResult> got;
+    EXPECT_TRUE((co_await c.MultiGetVar(keys, &got)).ok());
+    EXPECT_EQ(got.size(), keys.size());
+    for (size_t i = 0; i < got.size() && i < keys.size(); i++) {
+      const auto want = oracle->find(keys[i]);
+      if (want == oracle->end()) {
+        EXPECT_TRUE(got[i].status.IsNotFound());
+      } else {
+        EXPECT_TRUE(got[i].status.ok());
+        EXPECT_EQ(got[i].value, want->second);
+      }
+    }
+
+    // A scan across the rewritten region returns the oracle's run.
+    const std::string from = "key00049";
+    std::vector<std::pair<std::string, std::string>> scan;
+    EXPECT_TRUE((co_await c.ScanVar(from, 12, &scan)).ok());
+    std::vector<std::pair<std::string, std::string>> want;
+    for (auto it = oracle->lower_bound(from);
+         it != oracle->end() && want.size() < 12; ++it) {
+      want.push_back(*it);
+    }
+    EXPECT_EQ(scan, want);
+    *flag = true;
+  }(&system, &singles, &batch, &gone, &oracle, &done));
+  system.simulator().Run();
+  EXPECT_TRUE(done);
+  EXPECT_GT(system.rpc_service().served(), served_before);
+  EXPECT_GT(system.rpc_service().declined(), 0u);  // the over-threshold value
   system.sherman().DebugCheckInvariants();
 }
 

@@ -5,6 +5,8 @@
 
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "ext/rpc_index.h"
 #include "util/random.h"
@@ -83,6 +85,32 @@ TEST(RpcIndexTest, BulkLoadAndRandomOps) {
   }(&client, &done));
   fabric.simulator().Run();
   EXPECT_TRUE(done);
+}
+
+// A scan's count rides in a full RPC word and its pairs in the response
+// body, so counts beyond 16 bits are served like any other.
+TEST(RpcIndexTest, LargeScanReturnsSortedPairs) {
+  rdma::Fabric fabric(SmallFabric());
+  RpcIndex index(&fabric);
+  std::vector<std::pair<uint64_t, uint64_t>> kvs;
+  for (uint64_t i = 1; i <= 100'000; i++) kvs.emplace_back(i, i * 3);
+  index.BulkLoad(kvs);
+
+  RpcIndexClient client(&index, 0);
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  Status st = Status::Internal();
+  sim::Spawn([](RpcIndexClient* c,
+                std::vector<std::pair<uint64_t, uint64_t>>* o,
+                Status* s) -> sim::Task<void> {
+    *s = co_await c->RangeQuery(1001, 70'000, o);
+  }(&client, &out, &st));
+  fabric.simulator().Run();
+  EXPECT_TRUE(st.ok());
+  ASSERT_EQ(out.size(), 70'000u);
+  for (size_t i = 0; i < out.size(); i++) {
+    ASSERT_EQ(out[i].first, 1001 + i);
+    ASSERT_EQ(out[i].second, out[i].first * 3);
+  }
 }
 
 // The motivation experiment in miniature: doubling the client count does
