@@ -5,7 +5,8 @@ small absolute slack so sub-second runs don't gate on timer noise).
 
 The bench reports contain no wall-clock field (simulated time only), so
 this script times the subprocess itself: min of N runs each way, which
-discards scheduler noise rather than averaging it in.
+discards scheduler noise rather than averaging it in. Every run of both
+arms is printed, so a red gate shows its spread.
 
 Usage: check_dmsan_overhead.py [bench_binary] [args...]
 Defaults to the CI bench_pipeline smoke. Exit 0 = within budget.
@@ -32,10 +33,14 @@ def time_once(cmd, env):
     return elapsed
 
 
-def best_of(cmd, dmsan, runs=RUNS):
+def time_runs(cmd, dmsan, runs=RUNS):
     env = dict(os.environ)
     env["SHERMAN_DMSAN"] = "1" if dmsan else "0"
-    return min(time_once(cmd, env) for _ in range(runs))
+    return [time_once(cmd, env) for _ in range(runs)]
+
+
+def fmt_runs(times):
+    return " ".join(f"{t:.3f}" for t in times)
 
 
 def main():
@@ -44,12 +49,15 @@ def main():
         os.path.join(root, "build", "bench_pipeline"),
         "--quick", "--keys=60000", "--threads=4",
     ]
-    base = best_of(cmd, dmsan=False)
-    with_dmsan = best_of(cmd, dmsan=True)
+    base_runs = time_runs(cmd, dmsan=False)
+    dmsan_runs = time_runs(cmd, dmsan=True)
+    base = min(base_runs)
+    with_dmsan = min(dmsan_runs)
     budget = base * (1.0 + MAX_RELATIVE) + SLACK_SECONDS
     pct = 100.0 * (with_dmsan - base) / base if base > 0 else 0.0
-    print(f"baseline     : {base:.3f}s  (min of {RUNS})")
-    print(f"with DMSan   : {with_dmsan:.3f}s  ({pct:+.1f}%)")
+    print(f"baseline     : {base:.3f}s  (min of {RUNS}: {fmt_runs(base_runs)})")
+    print(f"with DMSan   : {with_dmsan:.3f}s  ({pct:+.1f}%; "
+          f"min of {RUNS}: {fmt_runs(dmsan_runs)})")
     print(f"budget       : {budget:.3f}s  "
           f"(+{int(MAX_RELATIVE * 100)}% and {SLACK_SECONDS}s slack)")
     if with_dmsan > budget:

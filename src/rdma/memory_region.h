@@ -7,12 +7,18 @@
 // window patches only the suffix of the reader's buffer that the DMA has not
 // yet passed. This reproduces torn reads — and their rarity (Figure 14a) —
 // with the exact semantics Sherman's version checks rely on.
+//
+// The bytes live in a lazily zero-filled anonymous mapping: a memory
+// server's DRAM pool is large and the index touches it sparsely, so
+// untouched simulated memory costs no host time or resident memory. A
+// PROT_NONE guard page follows the region, with the region's last byte
+// placed just before it, so a host overrun past raw() faults at once.
 #ifndef SHERMAN_RDMA_MEMORY_REGION_H_
 #define SHERMAN_RDMA_MEMORY_REGION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
-#include <vector>
 
 #include "sim/event_queue.h"
 
@@ -21,6 +27,10 @@ namespace sherman::rdma {
 class MemoryRegion {
  public:
   explicit MemoryRegion(uint64_t size);
+  ~MemoryRegion();
+
+  MemoryRegion(const MemoryRegion&) = delete;
+  MemoryRegion& operator=(const MemoryRegion&) = delete;
 
   uint64_t size() const { return size_; }
 
@@ -63,7 +73,9 @@ class MemoryRegion {
   static uint64_t Progress(const InflightRead& r, sim::SimTime now);
 
   uint64_t size_;
-  std::vector<uint8_t> data_;
+  uint8_t* map_ = nullptr;   // start of the mapping (data + guard page)
+  size_t map_bytes_ = 0;
+  uint8_t* data_ = nullptr;  // byte 0 of the region, inside the mapping
   std::list<InflightRead> inflight_;
   uint64_t next_handle_ = 1;
 };

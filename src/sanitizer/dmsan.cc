@@ -13,13 +13,6 @@
 namespace sherman::dmsan {
 
 namespace {
-// A taint older than this is stale: its buffer has left the op that read
-// it (simulated reads complete and validate within a few microseconds),
-// and heap reuse could otherwise alias an old taint onto an unrelated
-// staging buffer. Evaluated lazily against the sim clock at check time,
-// so it is deterministic.
-constexpr uint64_t kTaintTtlNs = 100'000;
-
 const char* RuleName(int rule) {
   switch (rule) {
     case 1: return "V1 unlocked-or-stale-lease remote write";
@@ -33,25 +26,22 @@ const char* RuleName(int rule) {
 }
 }  // namespace
 
-Checker::Checker(Config cfg) : cfg_(cfg) {
+Checker::Checker(Config cfg)
+    : cfg_(cfg), nodes_(cfg.node_size), taints_(cfg.node_size, kTaintTtlNs) {
   SHERMAN_CHECK(cfg_.node_size > 0);
   SHERMAN_CHECK(cfg_.sim != nullptr);
 }
 
-uint64_t Checker::tracked_nodes() const {
-  uint64_t n = 0;
-  for (const auto& [ms, m] : nodes_) n += m.size();
-  return n;
-}
+uint64_t Checker::tracked_nodes() const { return nodes_.size(); }
 
 Checker::NodeShadow* Checker::FindNode(uint16_t ms, uint64_t offset) {
-  auto mit = nodes_.find(ms);
-  if (mit == nodes_.end()) return nullptr;
-  auto it = mit->second.upper_bound(offset);
-  if (it == mit->second.begin()) return nullptr;
-  --it;
-  if (offset >= it->first + it->second.size) return nullptr;
-  return &it->second;
+  auto* r = nodes_.Find(ms, offset);
+  return r != nullptr ? &r->shadow : nullptr;
+}
+
+Checker::VExtShadow* Checker::FindVExtent(uint16_t ms, uint64_t offset) {
+  auto* r = vexts_.Find(ms, offset);
+  return r != nullptr ? &r->shadow : nullptr;
 }
 
 bool Checker::LaneExpired(uint16_t lane) const {
@@ -69,9 +59,8 @@ bool Checker::LaneExpired(uint16_t lane) const {
 
 bool Checker::HoldsLane(int cs, rdma::GlobalAddress node_base,
                         uint16_t* lane_out, int* owner_out) const {
-  const GlobalLockRef ref = LockFor(node_base, cfg_.lock.onchip);
-  const auto it = lanes_.find(LaneKey(ref));
-  const uint16_t lane = it != lanes_.end() ? it->second.lane : 0;
+  const auto it = lanes_.find(LaneKey(LockFor(node_base, cfg_.lock.onchip)));
+  const uint16_t lane = it != lanes_.end() ? it->second : 0;
   if (lane_out != nullptr) *lane_out = lane;
   const uint16_t owner = LockLaneOwner(lane);
   if (owner_out != nullptr) *owner_out = owner == 0 ? -1 : owner - 1;
@@ -97,38 +86,17 @@ bool Checker::OnRootWord(const rdma::WorkRequest& wr) const {
 
 void Checker::OnNodeAllocated(int cs, rdma::GlobalAddress addr,
                               uint32_t size) {
-  auto& per_ms = nodes_[addr.node];
-  // Drop any stale shadow overlapping the range (a recycled node re-enters
-  // circulation; allocation geometry keeps live ranges disjoint).
-  auto it = per_ms.lower_bound(addr.offset);
-  if (it != per_ms.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second.size > addr.offset) per_ms.erase(prev);
-  }
-  while (true) {
-    it = per_ms.lower_bound(addr.offset);
-    if (it == per_ms.end() || it->first >= addr.offset + size) break;
-    per_ms.erase(it);
-  }
+  // Inserting drops any stale shadow overlapping the range (a recycled
+  // node re-enters circulation; allocation geometry keeps live ranges
+  // disjoint).
   NodeShadow s;
   s.state = NodeState::kPrivate;
   s.owner_cs = cs;
   s.size = size;
-  per_ms[addr.offset] = s;
+  nodes_.Insert(addr.node, addr.offset, s);
   // A recycled vlog segment can re-enter circulation as anything; its
-  // extent/segment shadows are stale the moment the region is re-handed.
-  if (!vexts_.empty() || !vsegs_.empty()) {
-    auto drop = [&](auto& per_ms_map) {
-      auto mit = per_ms_map.find(addr.node);
-      if (mit == per_ms_map.end()) return;
-      auto vit = mit->second.lower_bound(addr.offset);
-      while (vit != mit->second.end() && vit->first < addr.offset + size) {
-        vit = mit->second.erase(vit);
-      }
-    };
-    drop(vexts_);
-    drop(vsegs_);
-  }
+  // extent shadows are stale the moment the region is re-handed.
+  vexts_.EraseOverlapping(addr.node, addr.offset, addr.offset + size);
 }
 
 void Checker::PublishNode(rdma::GlobalAddress addr, uint8_t level) {
@@ -136,8 +104,7 @@ void Checker::PublishNode(rdma::GlobalAddress addr, uint8_t level) {
   if (n == nullptr) {
     NodeShadow s;
     s.size = cfg_.node_size;
-    nodes_[addr.node][addr.offset] = s;
-    n = FindNode(addr.node, addr.offset);
+    n = &nodes_.Insert(addr.node, addr.offset, s);
   }
   n->state = NodeState::kLive;
   n->level = level;
@@ -150,8 +117,7 @@ void Checker::OnNodeFreed(int ms, uint64_t offset, uint32_t size,
   if (n == nullptr) {
     NodeShadow s;
     s.size = size;
-    nodes_[static_cast<uint16_t>(ms)][offset] = s;
-    n = FindNode(static_cast<uint16_t>(ms), offset);
+    n = &nodes_.Insert(static_cast<uint16_t>(ms), offset, s);
   }
   if (n->hinted) {
     const rdma::GlobalAddress addr(static_cast<uint16_t>(ms), offset);
@@ -175,8 +141,7 @@ void Checker::OnHintPublished(rdma::GlobalAddress addr) {
     NodeShadow s;
     s.state = NodeState::kLive;
     s.size = cfg_.node_size;
-    nodes_[addr.node][addr.offset] = s;
-    n = FindNode(addr.node, addr.offset);
+    n = &nodes_.Insert(addr.node, addr.offset, s);
   }
   n->hinted = true;
 }
@@ -186,30 +151,10 @@ void Checker::OnHintInvalidated(rdma::GlobalAddress addr) {
   if (n != nullptr) n->hinted = false;
 }
 
-Checker::VExtShadow* Checker::FindVExtent(uint16_t ms, uint64_t offset) {
-  auto mit = vexts_.find(ms);
-  if (mit == vexts_.end()) return nullptr;
-  auto it = mit->second.upper_bound(offset);
-  if (it == mit->second.begin()) return nullptr;
-  --it;
-  if (offset >= it->first + it->second.size) return nullptr;
-  return &it->second;
-}
-
-void Checker::OnVlogSegment(int cs, rdma::GlobalAddress base,
-                            uint32_t seg_bytes, uint32_t cls) {
+void Checker::OnVlogSegment(rdma::GlobalAddress base, uint32_t seg_bytes) {
   // A recycled region may carry stale extent shadows from its previous
   // life as a segment; drop anything overlapping.
-  auto& per_ms = vexts_[base.node];
-  auto it = per_ms.lower_bound(base.offset);
-  while (it != per_ms.end() && it->first < base.offset + seg_bytes) {
-    it = per_ms.erase(it);
-  }
-  VSegShadow s;
-  s.seg_bytes = seg_bytes;
-  s.cls = cls;
-  s.owner_cs = cs;
-  vsegs_[base.node][base.offset] = s;
+  vexts_.EraseOverlapping(base.node, base.offset, base.offset + seg_bytes);
 }
 
 void Checker::OnVlogAppend(int cs, rdma::GlobalAddress addr, uint32_t bytes) {
@@ -217,7 +162,7 @@ void Checker::OnVlogAppend(int cs, rdma::GlobalAddress addr, uint32_t bytes) {
   s.state = VExtState::kAppending;
   s.owner_cs = cs;
   s.size = bytes;
-  vexts_[addr.node][addr.offset] = s;
+  vexts_.Insert(addr.node, addr.offset, s);
 }
 
 void Checker::OnVlogPublish(rdma::GlobalAddress addr) {
@@ -237,7 +182,7 @@ void Checker::OnVlogRetire(int ms, uint64_t offset, uint64_t epoch) {
 void Checker::OnLockAcquired(int cs, const GlobalLockRef& ref,
                              uint16_t lane_value) {
   (void)cs;
-  lanes_[LaneKey(ref)].lane = lane_value;
+  lanes_[LaneKey(ref)] = lane_value;
 }
 
 void Checker::OnLockReleased(int cs, const GlobalLockRef& ref) {
@@ -246,32 +191,26 @@ void Checker::OnLockReleased(int cs, const GlobalLockRef& ref) {
   // (and updated the shadow) in the response-latency window.
   const auto it = lanes_.find(LaneKey(ref));
   if (it != lanes_.end() &&
-      LockLaneOwner(it->second.lane) == static_cast<uint16_t>(cs) + 1) {
+      LockLaneOwner(it->second) == static_cast<uint16_t>(cs) + 1) {
     lanes_.erase(it);
   }
 }
 
 void Checker::OnLanesSwept(int ms, uint16_t owner_tag) {
-  for (auto it = lanes_.begin(); it != lanes_.end();) {
-    const uint16_t lane_ms = static_cast<uint16_t>(it->first >> 33);
-    if (lane_ms == ms && LockLaneOwner(it->second.lane) == owner_tag) {
-      it = lanes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(lanes_, [&](const auto& e) {
+    return static_cast<int>(e.first >> 33) == ms &&
+           LockLaneOwner(e.second) == owner_tag;
+  });
 }
 
 void Checker::OnClientDead(int cs) {
-  for (auto& [ms, per_ms] : nodes_) {
-    for (auto& [off, shadow] : per_ms) {
-      if (shadow.state == NodeState::kPrivate && shadow.owner_cs == cs) {
-        shadow.state = NodeState::kLive;
-        shadow.owner_cs = -1;
-      }
+  nodes_.ForEach([cs](uint16_t, uint64_t, NodeShadow& shadow) {
+    if (shadow.state == NodeState::kPrivate && shadow.owner_cs == cs) {
+      shadow.state = NodeState::kLive;
+      shadow.owner_cs = -1;
     }
-  }
-  taints_.clear();
+  });
+  taints_.Clear();
 }
 
 void Checker::OnRpcMutate(int ms, rdma::GlobalAddress node) {
@@ -299,44 +238,8 @@ void Checker::OnRpcMutate(int ms, rdma::GlobalAddress node) {
 }
 
 void Checker::NoteValidated(const void* buf, uint32_t len) {
-  DropTaintOverlapping(reinterpret_cast<uintptr_t>(buf),
-                       reinterpret_cast<uintptr_t>(buf) + len);
-}
-
-// --- taint -----------------------------------------------------------------
-
-void Checker::DropTaintOverlapping(uintptr_t begin, uintptr_t end) {
-  for (auto it = taints_.begin(); it != taints_.end();) {
-    if (it->begin < end && it->end > begin) {
-      it = taints_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void Checker::AddTaint(int cs, const rdma::WorkRequest& wr) {
-  (void)cs;
-  const uintptr_t begin = reinterpret_cast<uintptr_t>(wr.local_buf);
-  const uintptr_t end = begin + wr.length;
-  DropTaintOverlapping(begin, end);
-  // Lazy compaction keeps the list bounded without touching sim state.
-  if (taints_.size() > 1024) {
-    const uint64_t now = static_cast<uint64_t>(cfg_.sim->now());
-    for (auto it = taints_.begin(); it != taints_.end();) {
-      if (now - it->at > kTaintTtlNs) {
-        it = taints_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  Taint t;
-  t.src = wr.remote;
-  t.begin = begin;
-  t.end = end;
-  t.at = static_cast<uint64_t>(cfg_.sim->now());
-  taints_.push_back(t);
+  taints_.Validate(reinterpret_cast<uintptr_t>(buf),
+                   reinterpret_cast<uintptr_t>(buf) + len);
 }
 
 // --- checks ----------------------------------------------------------------
@@ -426,8 +329,9 @@ void Checker::CheckWrite(int cs, const rdma::WorkRequest& wr) {
     return;
   }
 
-  NodeShadow* n = FindNode(wr.remote.node, wr.remote.offset);
-  if (n == nullptr) return;  // not a tracked node region
+  auto* record = nodes_.Find(wr.remote.node, wr.remote.offset);
+  if (record == nullptr) return;  // not a tracked node region
+  NodeShadow* n = &record->shadow;
 
   // V3: a structural write claiming intent coverage must have its slot
   // published (and not yet cleared) at post time.
@@ -461,11 +365,7 @@ void Checker::CheckWrite(int cs, const rdma::WorkRequest& wr) {
       return;
     }
     case NodeState::kLive: {
-      // Find the node's base offset for the lane hash.
-      auto& per_ms = nodes_[wr.remote.node];
-      auto it = per_ms.upper_bound(wr.remote.offset);
-      --it;
-      const rdma::GlobalAddress base(wr.remote.node, it->first);
+      const rdma::GlobalAddress base(wr.remote.node, record->base);
       uint16_t lane = 0;
       int owner = -1;
       const bool holds = HoldsLane(cs, base, &lane, &owner);
@@ -490,16 +390,14 @@ void Checker::CheckWrite(int cs, const rdma::WorkRequest& wr) {
         const uintptr_t sb = reinterpret_cast<uintptr_t>(wr.local_buf);
         const uintptr_t se = sb + wr.length;
         const uint64_t now = static_cast<uint64_t>(cfg_.sim->now());
-        for (const Taint& t : taints_) {
-          if (t.begin < se && t.end > sb && now - t.at <= kTaintTtlNs) {
-            std::ostringstream os;
-            os << "cs " << cs << " writes node " << wr.remote.node << ":"
-               << wr.remote.offset
-               << " from a buffer read lock-free from " << t.src.node << ":"
-               << t.src.offset << " that was never version-validated";
-            Report(4, wr.remote, cs, -1, os.str());
-            break;
-          }
+        if (const TaintIndex::Taint* t = taints_.FindLive(sb, se, now)) {
+          const rdma::GlobalAddress src = rdma::GlobalAddress::FromU64(t->src);
+          std::ostringstream os;
+          os << "cs " << cs << " writes node " << wr.remote.node << ":"
+             << wr.remote.offset << " from a buffer read lock-free from "
+             << src.node << ":" << src.offset
+             << " that was never version-validated";
+          Report(4, wr.remote, cs, -1, os.str());
         }
       }
       return;
@@ -551,12 +449,12 @@ void Checker::CheckRead(int cs, const rdma::WorkRequest& wr) {
                                            wr.remote.offset),
                    nullptr, nullptr)) ||
         (n->state == NodeState::kPrivate && n->owner_cs == cs);
+    const uintptr_t buf = reinterpret_cast<uintptr_t>(wr.local_buf);
     if (!safe) {
-      AddTaint(cs, wr);
+      taints_.Add(buf, wr.remote.ToU64(),
+                  static_cast<uint64_t>(cfg_.sim->now()));
     } else {
-      DropTaintOverlapping(reinterpret_cast<uintptr_t>(wr.local_buf),
-                           reinterpret_cast<uintptr_t>(wr.local_buf) +
-                               wr.length);
+      taints_.Validate(buf, buf + wr.length);
     }
   }
 }
@@ -578,7 +476,7 @@ void Checker::DecodeLaneWrite(int cs, const rdma::WorkRequest& wr) {
     lanes_.erase(LaneKey(ref));
   } else {
     // Renew / handover re-stamp (or a test's direct encode).
-    lanes_[LaneKey(ref)].lane = lane;
+    lanes_[LaneKey(ref)] = lane;
   }
   (void)cs;
 }
@@ -634,32 +532,41 @@ void Checker::Report(int rule, rdma::GlobalAddress addr, int actor, int other,
 int g_active_count = 0;
 
 namespace {
-std::map<sim::Simulator*, Checker*>& Registry() {
-  static std::map<sim::Simulator*, Checker*> registry;
-  return registry;
-}
+// Attached (simulator, checker) pairs. Every posted work request and every
+// validation searches them, so they sit in a flat array beside
+// g_active_count rather than in a node-based map.
+constexpr int kMaxAttached = 16;
+std::pair<sim::Simulator*, Checker*> g_attached[kMaxAttached];
 }  // namespace
 
 void Attach(sim::Simulator* sim, Checker* checker) {
-  auto& reg = Registry();
-  SHERMAN_CHECK(reg.find(sim) == reg.end());
-  reg[sim] = checker;
-  g_active_count = static_cast<int>(reg.size());
+  SHERMAN_CHECK(Find(sim) == nullptr);
+  SHERMAN_CHECK_MSG(g_active_count < kMaxAttached,
+                    "more than %d simulators with a DMSan checker",
+                    kMaxAttached);
+  g_attached[g_active_count++] = {sim, checker};
 }
 
 void Detach(sim::Simulator* sim) {
-  Registry().erase(sim);
-  g_active_count = static_cast<int>(Registry().size());
+  for (int i = 0; i < g_active_count; i++) {
+    if (g_attached[i].first == sim) {
+      g_attached[i] = g_attached[--g_active_count];
+      return;
+    }
+  }
 }
 
 Checker* Find(sim::Simulator* sim) {
-  auto& reg = Registry();
-  auto it = reg.find(sim);
-  return it != reg.end() ? it->second : nullptr;
+  for (int i = 0; i < g_active_count; i++) {
+    if (g_attached[i].first == sim) return g_attached[i].second;
+  }
+  return nullptr;
 }
 
 void NoteValidatedAll(const void* buf, uint32_t len) {
-  for (auto& [sim, checker] : Registry()) checker->NoteValidated(buf, len);
+  for (int i = 0; i < g_active_count; i++) {
+    g_attached[i].second->NoteValidated(buf, len);
+  }
 }
 
 bool DefaultEnabled() {

@@ -53,6 +53,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "lock/hocl.h"
@@ -60,6 +61,7 @@
 #include "obs/trace.h"
 #include "rdma/global_address.h"
 #include "rdma/verbs.h"
+#include "sanitizer/shadow_index.h"
 #include "sim/simulator.h"
 
 namespace sherman {
@@ -80,6 +82,13 @@ struct Violation {
 
 class Checker {
  public:
+  // A taint older than this is stale: its buffer has left the op that read
+  // it (simulated reads complete and validate within a few microseconds),
+  // and heap reuse could otherwise alias an old taint onto an unrelated
+  // staging buffer. Evaluated lazily against the sim clock at check time,
+  // so it is deterministic.
+  static constexpr uint64_t kTaintTtlNs = 100'000;
+
   struct Config {
     uint32_t node_size = 0;
     HoclOptions lock;            // lane hash mode + lease arithmetic
@@ -127,11 +136,10 @@ class Checker {
   void OnClientDead(int cs);
 
   // --- feed: value-log extents (src/vlog/) ----------------------------------
-  // `cs` registered a vlog segment at [base, base+seg_bytes) on `ms`.
-  // (The region's node shadow already exists via OnNodeAllocated; this
-  // routes accesses inside it through the extent rules below.)
-  void OnVlogSegment(int cs, rdma::GlobalAddress base, uint32_t seg_bytes,
-                     uint32_t cls);
+  // A vlog segment was registered at [base, base+seg_bytes). (The region's
+  // node shadow already exists via OnNodeAllocated; this drops stale
+  // extent shadows so accesses inside it follow the extent rules below.)
+  void OnVlogSegment(rdma::GlobalAddress base, uint32_t seg_bytes);
   // `cs` is about to write the extent [addr, addr+bytes) (private append).
   void OnVlogAppend(int cs, rdma::GlobalAddress addr, uint32_t bytes);
   // The append landed: the extent is immutable and readable fabric-wide.
@@ -160,6 +168,9 @@ class Checker {
   void ClearFindings() { findings_.clear(); }
   uint64_t checked_wrs() const { return checked_wrs_; }
   uint64_t tracked_nodes() const;
+  // Taint entries held: unvalidated ones plus validated or expired ones
+  // awaiting the next compaction.
+  size_t tracked_taints() const { return taints_.size(); }
 
  private:
   enum class NodeState : uint8_t { kPrivate, kLive, kFreed };
@@ -171,15 +182,6 @@ class Checker {
     uint32_t size = 0;
     uint64_t freed_epoch = 0;  // kFreed
   };
-  struct LaneShadow {
-    uint16_t lane = 0;  // 0 = free
-  };
-  struct Taint {
-    rdma::GlobalAddress src;
-    uintptr_t begin = 0;
-    uintptr_t end = 0;
-    uint64_t at = 0;  // sim time of the read post
-  };
   enum class VExtState : uint8_t { kAppending, kLive, kDead };
   struct VExtShadow {
     VExtState state = VExtState::kAppending;
@@ -187,16 +189,10 @@ class Checker {
     uint32_t size = 0;
     uint64_t dead_epoch = 0;
   };
-  struct VSegShadow {
-    uint32_t seg_bytes = 0;
-    uint32_t cls = 0;
-    int owner_cs = -1;
-  };
 
   // Shadow lookups.
   NodeShadow* FindNode(uint16_t ms, uint64_t offset);
   VExtShadow* FindVExtent(uint16_t ms, uint64_t offset);
-  uint64_t NodeBase(uint16_t ms, const NodeShadow* n) const;
   uint64_t LaneKey(const GlobalLockRef& ref) const {
     return (static_cast<uint64_t>(ref.ms) << 33) |
            (static_cast<uint64_t>(ref.space == rdma::MemorySpace::kDevice)
@@ -214,8 +210,6 @@ class Checker {
   void CheckRead(int cs, const rdma::WorkRequest& wr);
   void DecodeLaneWrite(int cs, const rdma::WorkRequest& wr);
   void DecodeIntentWrite(const rdma::WorkRequest& wr);
-  void AddTaint(int cs, const rdma::WorkRequest& wr);
-  void DropTaintOverlapping(uintptr_t begin, uintptr_t end);
 
   void Report(int rule, rdma::GlobalAddress addr, int actor, int other,
               std::string message);
@@ -223,15 +217,14 @@ class Checker {
   Config cfg_;
   bool abort_on_violation_ = true;
 
-  // ms -> (node base offset -> shadow). Ranges never overlap.
-  std::map<uint16_t, std::map<uint64_t, NodeShadow>> nodes_;
-  // ms -> (segment base -> shadow) and (extent offset -> shadow).
-  std::map<uint16_t, std::map<uint64_t, VSegShadow>> vsegs_;
-  std::map<uint16_t, std::map<uint64_t, VExtShadow>> vexts_;
-  std::map<uint64_t, LaneShadow> lanes_;
+  GranuleIndex<NodeShadow> nodes_;
+  RangeIndex<VExtShadow> vexts_;
+  // LaneKey -> lane value of every lane the shadow holds (0 = free, so
+  // free lanes have no entry).
+  std::unordered_map<uint64_t, uint16_t> lanes_;
   // cs -> bitmap of published intent slots (decoded from slab writes).
   std::map<int, uint32_t> intent_live_;
-  std::vector<Taint> taints_;
+  TaintIndex taints_;
 
   std::vector<Violation> findings_;
   uint64_t checked_wrs_ = 0;

@@ -2,6 +2,10 @@
 
 #include <cassert>
 #include <cmath>
+#include <iterator>
+#include <map>
+#include <mutex>
+#include <utility>
 
 namespace sherman {
 
@@ -40,10 +44,24 @@ double Random::NextDouble() {
 }
 
 double ZipfianGenerator::Zeta(uint64_t n, double theta) {
+  // (theta, n) -> zeta(n, theta). Ordered by n within a theta, so the
+  // largest prefix at or below n is one lookup away.
+  static std::mutex mu;
+  static std::map<std::pair<double, uint64_t>, double> memo;
+  std::lock_guard<std::mutex> lock(mu);
+  auto it = memo.upper_bound({theta, n});
+  uint64_t i = 0;
   double sum = 0;
-  for (uint64_t i = 0; i < n; i++) {
+  if (it != memo.begin() && std::prev(it)->first.first == theta) {
+    --it;
+    if (it->first.second == n) return it->second;
+    i = it->first.second;
+    sum = it->second;
+  }
+  for (; i < n; i++) {
     sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
   }
+  memo.emplace(std::make_pair(theta, n), sum);
   return sum;
 }
 

@@ -55,9 +55,15 @@ class ZipfianGenerator {
   uint64_t n() const { return n_; }
   double theta() const { return theta_; }
 
- private:
+  // zeta(n, theta) = sum over i in [1, n] of 1 / i^theta, summed in
+  // increasing i. Memoised in one process-wide table: every client of a
+  // run builds a generator over the same (n, theta), and a miss continues
+  // from the largest memoised prefix of the same theta. The additions run
+  // in the same order either way, so the value is bit-identical to the
+  // direct sum and GrowTo can keep extending it.
   static double Zeta(uint64_t n, double theta);
 
+ private:
   uint64_t n_;
   double theta_;
   double alpha_;

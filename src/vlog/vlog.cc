@@ -54,7 +54,7 @@ sim::Task<Status> VlogClient::Rotate(uint32_t cls, OpStats* stats) {
   stats_.segments_opened++;
   if (dmsan::Active()) {
     if (dmsan::Checker* c = dmsan::Find(&fabric_->simulator())) {
-      c->OnVlogSegment(cs_id_, base, segment_bytes_, cls);
+      c->OnVlogSegment(base, segment_bytes_);
     }
   }
   co_return Status::OK();

@@ -2,8 +2,11 @@
 // memory regions, the NIC timing model, verbs, batching, ordering, and RPC.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -101,6 +104,44 @@ TEST(MemoryRegionTest, InflightBookkeeping) {
   r.EndRead(h1);
   r.EndRead(h2);
   EXPECT_EQ(r.inflight_reads(), 0u);
+}
+
+// --- MemoryRegion backing: lazily zero-filled, guard page after the end ---
+
+// Resident set size of this process, from /proc/self/statm.
+uint64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t total_pages = 0, resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(MemoryRegionTest, FreshRegionReadsZero) {
+  MemoryRegion r(64ull << 20);
+  EXPECT_EQ(*r.raw(0), 0);
+  EXPECT_EQ(*r.raw(r.size() / 2), 0);
+  EXPECT_EQ(*r.raw(r.size() - 1), 0);
+  EXPECT_EQ(r.Read64(r.size() - 8), 0u);
+}
+
+TEST(MemoryRegionTest, UntouchedMemoryIsNotResident) {
+  constexpr uint64_t kSlack = 8ull << 20;
+  const uint64_t before = ResidentBytes();
+  {
+    MemoryRegion r(1ull << 30);
+    r.Write64(0, r.size() / 2, 42);  // one touched page
+    EXPECT_LT(ResidentBytes(), before + kSlack);
+  }
+  EXPECT_LT(ResidentBytes(), before + kSlack);
+}
+
+TEST(MemoryRegionDeathTest, OverrunPastTheEndFaults) {
+  EXPECT_DEATH(
+      {
+        MemoryRegion r(4096);
+        std::memset(r.raw(r.size() - 8), 0xab, 16);
+      },
+      "");
 }
 
 // --- NIC timing ---

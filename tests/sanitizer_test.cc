@@ -7,8 +7,11 @@
 // for scripts/check_protocol.py.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "alloc/layout.h"
@@ -272,6 +275,148 @@ TEST_F(DmsanTest, V4_TornReadConsumedWithoutValidation) {
   system.simulator().Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(checker->findings().empty());
+}
+
+// --- taint index: which write-back sources count as tainted -------------
+
+// One taint scenario: a full-node lock-free READ of the root into
+// `read_into`, validations of `validated`, a sim-time `delay`, then a
+// locked write of `write_len` bytes from `write_from` into the root.
+struct TaintCase {
+  uint8_t* read_into = nullptr;
+  std::vector<std::pair<const uint8_t*, uint32_t>> validated;
+  sim::SimTime delay = 0;
+  const uint8_t* write_from = nullptr;
+  uint32_t write_len = 0;
+};
+
+sim::Task<void> RunTaintCase(ShermanSystem* s, dmsan::Checker* c,
+                             rdma::GlobalAddress node, TaintCase tc,
+                             bool* flag) {
+  const uint32_t nsz = s->options().shape.node_size;
+  auto rd = rdma::WorkRequest::Read(node, tc.read_into, nsz);
+  co_await s->fabric().qp(0, node.node).Post(rd);
+  for (const auto& [buf, len] : tc.validated) c->NoteValidated(buf, len);
+  if (tc.delay > 0) co_await s->simulator().Delay(tc.delay);
+  OpStats stats;
+  LockGuard guard = co_await s->client(0).hocl().Lock(node, &stats);
+  // protocol-ok: write-back whose source taint is under test
+  auto wr = rdma::WorkRequest::Write(node.Plus(64), tc.write_from,
+                                     tc.write_len);
+  co_await s->fabric().qp(0, node.node).Post(wr);
+  co_await s->client(0).hocl().Unlock(std::move(guard), {}, false, &stats);
+  *flag = true;
+}
+
+class DmsanTaintTest : public DmsanTest {
+ protected:
+  void SetUp() override {
+    DmsanTest::SetUp();
+    system_ = std::make_unique<ShermanSystem>(SmallFabric(), ShermanOptions());
+    system_->BulkLoad(SeedKvs(64), 0.8);
+    checker_ = system_->dmsan_checker();
+    ASSERT_NE(checker_, nullptr);
+    checker_->set_abort_on_violation(false);
+    nsz_ = system_->options().shape.node_size;
+    buf_.assign(3 * nsz_, 0);
+  }
+
+  // Runs `tc` and returns the rules it reported.
+  std::vector<int> Run(const TaintCase& tc) {
+    checker_->ClearFindings();
+    bool done = false;
+    sim::Spawn(RunTaintCase(system_.get(), checker_, system_->DebugRootAddr(),
+                            tc, &done));
+    system_->simulator().Run();
+    EXPECT_TRUE(done);
+    std::vector<int> rules;
+    for (const dmsan::Violation& v : checker_->findings()) {
+      rules.push_back(v.rule);
+    }
+    return rules;
+  }
+
+  uint8_t* at(uint32_t off) { return buf_.data() + off; }
+
+  std::unique_ptr<ShermanSystem> system_;
+  dmsan::Checker* checker_ = nullptr;
+  uint32_t nsz_ = 0;
+  std::vector<uint8_t> buf_;  // three node-sized buffers back to back
+};
+
+TEST_F(DmsanTaintTest, PartialOverlapWithTaintedBufferRaisesV4) {
+  // The source straddles the end of the tainted buffer.
+  TaintCase tc;
+  tc.read_into = at(nsz_);
+  tc.write_from = at(2 * nsz_ - 32);
+  tc.write_len = 64;
+  EXPECT_EQ(Run(tc), std::vector<int>{4});
+  // ...and its start.
+  tc.write_from = at(nsz_ - 32);
+  EXPECT_EQ(Run(tc), std::vector<int>{4});
+}
+
+TEST_F(DmsanTaintTest, ValidatingASubRangeClearsTheTaint) {
+  TaintCase tc;
+  tc.read_into = at(nsz_);
+  tc.validated = {{at(nsz_ + 100), 8}};
+  tc.write_from = at(nsz_);
+  tc.write_len = 64;
+  EXPECT_TRUE(Run(tc).empty());
+}
+
+TEST_F(DmsanTaintTest, TouchingBuffersDoNotInteract) {
+  // Validating the buffers on either side leaves the taint in place...
+  TaintCase tc;
+  tc.read_into = at(nsz_);
+  tc.validated = {{at(0), nsz_}, {at(2 * nsz_), nsz_}};
+  tc.write_from = at(nsz_);
+  tc.write_len = nsz_;
+  EXPECT_EQ(Run(tc), std::vector<int>{4});
+  // ...and the buffers touching it were never tainted.
+  tc.validated.clear();
+  tc.write_from = at(2 * nsz_);
+  EXPECT_TRUE(Run(tc).empty());
+  tc.write_from = at(0);
+  EXPECT_TRUE(Run(tc).empty());
+}
+
+TEST_F(DmsanTaintTest, TaintPastItsTtlNeverFires) {
+  TaintCase tc;
+  tc.read_into = at(nsz_);
+  tc.delay = dmsan::Checker::kTaintTtlNs / 2;
+  tc.write_from = at(nsz_);
+  tc.write_len = 64;
+  EXPECT_EQ(Run(tc), std::vector<int>{4});
+  tc.delay = dmsan::Checker::kTaintTtlNs + 1000;
+  EXPECT_TRUE(Run(tc).empty());
+}
+
+TEST_F(DmsanTaintTest, TaintSetStaysBounded) {
+  // 5000 unvalidated reads into distinct buffers, over 1 us of sim time
+  // apart: only those of the last kTaintTtlNs are live, and the sweep must
+  // keep the expired rest from piling up.
+  constexpr int kReads = 5000;
+  std::vector<uint8_t> bufs(static_cast<size_t>(kReads) * nsz_);
+  size_t max_tracked = 0;
+  bool done = false;
+  sim::Spawn([](ShermanSystem* s, dmsan::Checker* c, uint8_t* base,
+                uint32_t nsz, size_t* max_tracked,
+                bool* flag) -> sim::Task<void> {
+    const rdma::GlobalAddress node = s->DebugRootAddr();
+    for (int i = 0; i < kReads; i++) {
+      auto rd = rdma::WorkRequest::Read(node, base + i * nsz, nsz);
+      co_await s->fabric().qp(0, node.node).Post(rd);
+      *max_tracked = std::max(*max_tracked, c->tracked_taints());
+      co_await s->simulator().Delay(1000);
+    }
+    *flag = true;
+  }(system_.get(), checker_, bufs.data(), nsz_, &max_tracked, &done));
+  system_->simulator().Run();
+  ASSERT_TRUE(done);
+  EXPECT_GT(max_tracked, 0u);
+  EXPECT_LE(max_tracked, 1024u);
+  EXPECT_TRUE(checker_->findings().empty());
 }
 
 TEST_F(DmsanTest, V5_LockTableAndRootPointerBypass) {

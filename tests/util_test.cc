@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -147,6 +150,33 @@ TEST(ZipfianTest, StaysInRange) {
   Random r(6);
   for (int i = 0; i < 10'000; i++) {
     EXPECT_LT(z.Next(r), 100u);
+  }
+}
+
+TEST(ZipfianTest, MemoisedZetaIsTheDirectSumBitForBit) {
+  constexpr double kTheta = 0.99;
+  const auto direct = [](uint64_t n) {
+    double sum = 0;
+    for (uint64_t i = 0; i < n; i++) {
+      sum += 1.0 / std::pow(static_cast<double>(i + 1), kTheta);
+    }
+    return sum;
+  };
+  // A miss, a hit, and a miss continued from the memoised prefix.
+  for (const uint64_t n : {300'000ull, 300'000ull, 700'001ull}) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(ZipfianGenerator::Zeta(n, kTheta)),
+              std::bit_cast<uint64_t>(direct(n)))
+        << n;
+  }
+}
+
+TEST(ZipfianTest, GrownGeneratorDrawsLikeAFreshOne) {
+  ZipfianGenerator grown(100'000, 0.99);
+  grown.GrowTo(250'000);
+  ZipfianGenerator fresh(250'000, 0.99);
+  Random a(7), b(7);
+  for (int i = 0; i < 100'000; i++) {
+    ASSERT_EQ(grown.Next(a), fresh.Next(b)) << i;
   }
 }
 
