@@ -5,8 +5,11 @@ small absolute slack so sub-second runs don't gate on timer noise).
 
 The bench reports contain no wall-clock field (simulated time only), so
 this script times the subprocess itself: min of N runs each way, which
-discards scheduler noise rather than averaging it in. Every run of both
-arms is printed, so a red gate shows its spread.
+discards scheduler noise rather than averaging it in. The two arms run
+interleaved (base, DMSan, base, DMSan, ...), so a burst of load from
+other processes on the host lands on both arms rather than on one block
+of runs. Every run of both arms is printed, so a red gate shows its
+spread.
 
 Usage: check_dmsan_overhead.py [bench_binary] [args...]
 Defaults to the CI bench_pipeline smoke. Exit 0 = within budget.
@@ -33,10 +36,21 @@ def time_once(cmd, env):
     return elapsed
 
 
-def time_runs(cmd, dmsan, runs=RUNS):
+def arm_env(dmsan):
     env = dict(os.environ)
     env["SHERMAN_DMSAN"] = "1" if dmsan else "0"
-    return [time_once(cmd, env) for _ in range(runs)]
+    return env
+
+
+def time_arms(cmd, runs=RUNS):
+    """Times `runs` pairs of (baseline, DMSan) runs, alternating the arms.
+    Returns (baseline times, DMSan times)."""
+    base_env, dmsan_env = arm_env(False), arm_env(True)
+    base_runs, dmsan_runs = [], []
+    for _ in range(runs):
+        base_runs.append(time_once(cmd, base_env))
+        dmsan_runs.append(time_once(cmd, dmsan_env))
+    return base_runs, dmsan_runs
 
 
 def fmt_runs(times):
@@ -49,8 +63,7 @@ def main():
         os.path.join(root, "build", "bench_pipeline"),
         "--quick", "--keys=60000", "--threads=4",
     ]
-    base_runs = time_runs(cmd, dmsan=False)
-    dmsan_runs = time_runs(cmd, dmsan=True)
+    base_runs, dmsan_runs = time_arms(cmd)
     base = min(base_runs)
     with_dmsan = min(dmsan_runs)
     budget = base * (1.0 + MAX_RELATIVE) + SLACK_SECONDS

@@ -1643,7 +1643,7 @@ sim::Task<void> TreeClient::ApplyGroups(const BatchPlan& plan,
   sim::CountdownLatch latch(groups.size());
   for (auto& [addr_u64, idxs] : groups) {
     sim::Spawn(ApplyGroup(rdma::GlobalAddress::FromU64(addr_u64),
-                          std::move(idxs), &plan, defer, stats, &step,
+                          std::move(idxs), &plan, defer, stats, step,
                           &latch));
   }
   co_await latch.Wait();
@@ -1653,7 +1653,7 @@ sim::Task<void> TreeClient::ApplyGroup(rdma::GlobalAddress addr,
                                        std::vector<size_t> idxs,
                                        const BatchPlan* plan,
                                        std::vector<uint8_t>* defer,
-                                       OpStats* stats, const GroupStep* step,
+                                       OpStats* stats, GroupStep step,
                                        sim::CountdownLatch* latch) {
   std::vector<uint8_t> buf(node_size());
   StatusOr<Locked> locked =
@@ -1668,7 +1668,7 @@ sim::Task<void> TreeClient::ApplyGroup(rdma::GlobalAddress addr,
         (*defer)[idx] = 1;  // the sibling chase moved us off this key
       }
     }
-    co_await (*step)(*locked, buf.data(), std::move(mine));
+    co_await step(*locked, buf.data(), std::move(mine));
   } else {
     for (size_t idx : idxs) (*defer)[idx] = 1;
   }

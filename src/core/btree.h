@@ -26,7 +26,6 @@
 #define SHERMAN_CORE_BTREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -47,6 +46,7 @@
 #include "sanitizer/dmsan.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "util/function_ref.h"
 
 namespace sherman {
 
@@ -368,8 +368,9 @@ class TreeClient {
   sim::Task<StatusOr<Locked>> LockLeafFor(Key key, uint8_t* buf,
                                           OpStats* stats);
   // A layout's answer to a point read from a validated leaf covering the
-  // key; Retry asks the read loop to re-read that leaf.
-  using LeafServe = std::function<sim::Task<Status>(const NodeView&)>;
+  // key; Retry asks the read loop to re-read that leaf. A reference: the
+  // caller's callable outlives the awaited read loop.
+  using LeafServe = FunctionRef<sim::Task<Status>(const NodeView&)>;
   // Lock-free read loop: resolves the leaf covering `key`, reads it
   // checked into `buf`, restarts on tombstones / role changes / keys left
   // of the fence, chases B-link siblings, keeps the hint mirror honest,
@@ -529,9 +530,10 @@ class TreeClient {
   uint8_t* FetchedLeafFor(LeafFetch& fetch, size_t i, Key key, OpStats* stats);
 
   // A layout's work on one locked leaf group: the batch indices it got
-  // are in the leaf's fences.
-  using GroupStep = std::function<sim::Task<void>(Locked, uint8_t*,
-                                                  std::vector<size_t>)>;
+  // are in the leaf's fences. A reference: the caller's callable outlives
+  // the awaited apply phase.
+  using GroupStep =
+      FunctionRef<sim::Task<void>(Locked, uint8_t*, std::vector<size_t>)>;
   // Apply phase of the batched writes: groups the planned keys by leaf and
   // runs `step` on each group concurrently, each under one lock. Unplanned
   // keys, and keys a group cannot serve, get `defer` set for the singleton
@@ -541,7 +543,7 @@ class TreeClient {
                               GroupStep step);
   sim::Task<void> ApplyGroup(rdma::GlobalAddress addr, std::vector<size_t> idxs,
                              const BatchPlan* plan, std::vector<uint8_t>* defer,
-                             OpStats* stats, const GroupStep* step,
+                             OpStats* stats, GroupStep step,
                              sim::CountdownLatch* latch);
 
   // --- varlen plumbing (btree_varlen.cc) ---

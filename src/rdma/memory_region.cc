@@ -50,9 +50,10 @@ uint64_t MemoryRegion::BeginRead(uint64_t offset, uint32_t len, uint8_t* dst,
 }
 
 void MemoryRegion::EndRead(uint64_t handle) {
-  for (auto it = inflight_.begin(); it != inflight_.end(); ++it) {
-    if (it->handle == handle) {
-      inflight_.erase(it);
+  for (InflightRead& r : inflight_) {
+    if (r.handle == handle) {
+      r = inflight_.back();
+      inflight_.pop_back();
       return;
     }
   }

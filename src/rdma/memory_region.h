@@ -18,7 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
+#include <vector>
 
 #include "sim/event_queue.h"
 
@@ -76,7 +76,7 @@ class MemoryRegion {
   uint8_t* map_ = nullptr;   // start of the mapping (data + guard page)
   size_t map_bytes_ = 0;
   uint8_t* data_ = nullptr;  // byte 0 of the region, inside the mapping
-  std::list<InflightRead> inflight_;
+  std::vector<InflightRead> inflight_;  // unordered; EndRead swap-removes
   uint64_t next_handle_ = 1;
 };
 

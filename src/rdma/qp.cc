@@ -1,7 +1,7 @@
 #include "rdma/qp.h"
 
 #include <algorithm>
-#include <memory>
+#include <cstring>
 #include <string>
 
 #include "fault/crash_point.h"
@@ -11,6 +11,11 @@
 #include "util/logging.h"
 
 namespace sherman::rdma {
+
+namespace {
+// Wire payload charged for each RPC message, either way.
+constexpr uint32_t kRpcBytes = 32;
+}  // namespace
 
 Qp::Qp(ComputeServer* cs, MemoryServer* ms, sim::Simulator* sim,
        const FabricConfig* cfg)
@@ -47,30 +52,36 @@ uint32_t Qp::ResponsePayload(const WorkRequest& wr) {
   return 0;
 }
 
-sim::Task<RdmaResult> Qp::Post(WorkRequest wr) {
-  std::vector<WorkRequest> batch;
-  batch.push_back(wr);
-  co_return co_await PostBatch(std::move(batch));
-}
-
-sim::Task<RdmaResult> Qp::PostBatch(std::vector<WorkRequest> wrs) {
+sim::Task<RdmaResult> Qp::PostWrs(WorkRequest one,
+                                  std::vector<WorkRequest> batch) {
   // Crash-fault injection: a dead compute server issues nothing further —
   // any coroutine of a killed client freezes at its next doorbell.
   co_await fault::Injector().FreezeIfDead(cs_->id());
-  SHERMAN_CHECK(!wrs.empty());
+  const WorkRequest* wrs = batch.empty() ? &one : batch.data();
+  const size_t n = batch.empty() ? 1 : batch.size();
   counters_.batches++;
-  counters_.wrs += wrs.size();
+  counters_.wrs += n;
 
   sim::Simulator* sim = sim_;
   const FabricConfig* cfg = cfg_;
   Nic& cs_nic = cs_->nic();
   Nic& ms_nic = ms_->nic();
 
-  // Completion state lives in this coroutine frame. Every event scheduled
-  // below fires no later than the completion event, and the frame is alive
-  // until the completion resumes it, so plain pointers into the frame are
-  // safe to capture.
+  // Completion and DMA state live in this coroutine frame. Every event
+  // scheduled below fires no later than the completion event, and the frame
+  // is alive until the completion resumes it (a crashed client's frame is
+  // parked, never destroyed), so plain pointers into the frame are safe to
+  // capture.
   bool cas_success = false;
+  uint64_t read_handle = 0;
+  // WRITE payloads are snapshotted at post time (the NIC DMAs them from the
+  // sender then) into one buffer for the whole batch.
+  size_t payload_bytes = 0;
+  for (size_t i = 0; i < n; i++) {
+    if (wrs[i].verb == Verb::kWrite) payload_bytes += wrs[i].length;
+  }
+  sim::PooledBuffer payload(payload_bytes);
+  uint8_t* payload_next = payload.data<uint8_t>();
 
   sim::SimTime tx_prev = sim->now();
   sim::SimTime exec_done = sim->now();
@@ -82,9 +93,9 @@ sim::Task<RdmaResult> Qp::PostBatch(std::vector<WorkRequest> wrs) {
   sim::SimTime batch_prev_exec = 0;
   uint32_t last_resp_payload = 0;
 
-  for (size_t i = 0; i < wrs.size(); i++) {
-    WorkRequest& wr = wrs[i];
-    const bool is_last = (i + 1 == wrs.size());
+  for (size_t i = 0; i < n; i++) {
+    const WorkRequest& wr = wrs[i];
+    const bool is_last = (i + 1 == n);
     SHERMAN_CHECK_MSG(is_last || wr.verb == Verb::kWrite,
                       "only WRITEs may precede the last WR in a batch");
 
@@ -136,20 +147,18 @@ sim::Task<RdmaResult> Qp::PostBatch(std::vector<WorkRequest> wrs) {
                 : cfg->onchip_access_ns;
         exec_done = exec_ready + dma;
         ms_->NoteWriteApply(device_space, exec_done);
-        // Snapshot the payload now (the NIC DMAs it from the sender at post
-        // time); apply it to remote memory at the execution instant.
-        auto payload = std::make_shared<std::vector<uint8_t>>(
-            static_cast<const uint8_t*>(wr.local_buf),
-            static_cast<const uint8_t*>(wr.local_buf) + wr.length);
-        const uint64_t off = wr.remote.offset;
-        sim->At(exec_done, [&region, off, payload, sim] {
-          region.Write(sim->now(), off, payload->data(),
-                       static_cast<uint32_t>(payload->size()));
+        // Snapshot the payload now; apply it to remote memory at the
+        // execution instant.
+        const uint8_t* snapshot = payload_next;
+        if (wr.length > 0) std::memcpy(payload_next, wr.local_buf, wr.length);
+        payload_next += wr.length;
+        sim->At(exec_done, [&region, &wr, snapshot, sim] {
+          region.Write(sim->now(), wr.remote.offset, snapshot, wr.length);
         });
         break;
       }
       case Verb::kRead: {
-        exec_done = ScheduleReadDma(wr, exec_ready);
+        exec_done = ScheduleReadDma(wr, exec_ready, &read_handle);
         break;
       }
       case Verb::kCas:
@@ -173,10 +182,8 @@ sim::Task<RdmaResult> Qp::PostBatch(std::vector<WorkRequest> wrs) {
         // NoteWriteApply here.
         // The value is observed once the PCIe read returns.
         const sim::SimTime rmw_at = on_host ? start + cfg->pcie_read_ns : start;
-        const WorkRequest w = wr;  // by value: wrs dies with the frame, but
-                                   // events run before completion anyway
         bool* cas_flag = &cas_success;
-        sim->At(rmw_at, [&region, w, cas_flag, sim] {
+        sim->At(rmw_at, [&region, &w = wr, cas_flag, sim] {
           const uint64_t old = region.Read64(w.remote.offset);
           if (w.fetched != nullptr) *w.fetched = old;
           switch (w.verb) {
@@ -225,7 +232,7 @@ sim::Task<RdmaResult> Qp::PostBatch(std::vector<WorkRequest> wrs) {
 }
 
 sim::SimTime Qp::ScheduleReadDma(const WorkRequest& wr,
-                                 sim::SimTime exec_ready) {
+                                 sim::SimTime exec_ready, uint64_t* handle) {
   sim::Simulator* sim = sim_;
   const FabricConfig* cfg = cfg_;
   const bool device_space = wr.space == MemorySpace::kDevice;
@@ -237,22 +244,18 @@ sim::SimTime Qp::ScheduleReadDma(const WorkRequest& wr,
                                     wr.length / cfg->pcie_bytes_per_ns)
           : cfg->onchip_access_ns;
   // PCIe ordering: the read may not pass previously posted writes.
-  const sim::SimTime dma_start =
+  const sim::SimTime start =
       std::max(exec_ready, ms_->LastWriteApply(device_space));
-  const sim::SimTime exec_done = dma_start + dma;
-  // The DMA occupies [dma_start, exec_done): register an in-flight
-  // read so concurrent writes patch only the unread suffix.
-  auto handle = std::make_shared<uint64_t>(0);
-  uint8_t* dst = static_cast<uint8_t*>(wr.local_buf);
-  const uint64_t off = wr.remote.offset;
-  const uint32_t len = wr.length;
-  const sim::SimTime start = dma_start;
-  const sim::SimTime end = exec_done;
-  sim->At(start, [&region, handle, off, len, dst, start, end] {
-    *handle = region.BeginRead(off, len, dst, start, end);
+  const sim::SimTime end = start + dma;
+  // The DMA occupies [start, end): register an in-flight read so
+  // concurrent writes patch only the unread suffix.
+  sim->At(start, [&region, &wr, handle, start, end] {
+    *handle = region.BeginRead(wr.remote.offset, wr.length,
+                               static_cast<uint8_t*>(wr.local_buf), start,
+                               end);
   });
   sim->At(end, [&region, handle] { region.EndRead(*handle); });
-  return exec_done;
+  return end;
 }
 
 sim::Task<RdmaResult> Qp::PostReadBatch(std::vector<WorkRequest> wrs) {
@@ -270,10 +273,13 @@ sim::Task<RdmaResult> Qp::PostReadBatch(std::vector<WorkRequest> wrs) {
   // READ's DMA starts as soon as its own header clears the target RX —
   // unlike PostBatch there is no execute-after-predecessor chain, the
   // reads are independent by contract.
+  // One in-flight-read handle per READ, owned by this frame (see PostWrs).
+  sim::PooledBuffer handles(wrs.size() * sizeof(uint64_t));
   sim::SimTime tx_prev = sim->now();
   sim::SimTime resp_prev = 0;
   sim::SimTime last_resp_done = 0;
-  for (const WorkRequest& wr : wrs) {
+  for (size_t i = 0; i < wrs.size(); i++) {
+    const WorkRequest& wr = wrs[i];
     SHERMAN_CHECK_MSG(wr.verb == Verb::kRead,
                       "PostReadBatch accepts only READs");
     SHERMAN_CHECK_MSG(wr.remote.node == ms_->id(),
@@ -294,7 +300,8 @@ sim::Task<RdmaResult> Qp::PostReadBatch(std::vector<WorkRequest> wrs) {
     tx_prev = tx_done;
     const sim::SimTime arrive = tx_done + cfg->wire_latency_ns;
     const sim::SimTime rx_done = ms_nic.ReserveRx(arrive, RequestPayload(wr));
-    const sim::SimTime exec_done = ScheduleReadDma(wr, rx_done);
+    const sim::SimTime exec_done =
+        ScheduleReadDma(wr, rx_done, &handles.data<uint64_t>()[i]);
 
     // Responses return in posting order on the RC channel.
     const sim::SimTime resp_ready = std::max(exec_done, resp_prev);
@@ -316,47 +323,56 @@ sim::Task<RdmaResult> Qp::PostReadBatch(std::vector<WorkRequest> wrs) {
   co_return result;
 }
 
+struct Qp::RpcCall {
+  uint64_t opcode = 0;
+  uint64_t arg = 0;
+  uint64_t arg2 = 0;
+  std::string* body = nullptr;
+  uint64_t response = 0;
+  sim::OneShot done;
+};
+
 sim::Task<uint64_t> Qp::Rpc(uint64_t opcode, uint64_t arg, uint64_t arg2,
                             std::string* body) {
   co_await fault::Injector().FreezeIfDead(cs_->id());
   counters_.rpcs++;
-  sim::Simulator* sim = sim_;
-  const FabricConfig* cfg = cfg_;
-  constexpr uint32_t kRpcBytes = 32;
   std::string no_body;
-  if (body == nullptr) body = &no_body;
+  RpcCall call;
+  call.opcode = opcode;
+  call.arg = arg;
+  call.arg2 = arg2;
+  call.body = body != nullptr ? body : &no_body;
 
   // Request: SEND to the MS.
-  const sim::SimTime tx_done = cs_->nic().ReserveTx(sim->now(), kRpcBytes);
-  const sim::SimTime arrive = tx_done + cfg->wire_latency_ns;
+  const sim::SimTime tx_done = cs_->nic().ReserveTx(sim_->now(), kRpcBytes);
+  const sim::SimTime arrive = tx_done + cfg_->wire_latency_ns;
   const sim::SimTime rx_done = ms_->nic().ReserveRx(arrive, kRpcBytes);
 
   // The memory thread serves requests FIFO with a fixed service time.
   const sim::SimTime svc_done = ms_->ReserveMemoryThread(rx_done);
-  uint64_t response = 0;
-  MemoryServer* ms = ms_;
-  ComputeServer* cs = cs_;
-  sim::OneShot done;
 
   // The response's NIC/wire legs are reserved at service-completion time,
   // not issue time: the NIC FIFO clocks advance in reservation order, so
   // reserving the TX engine for a far-future svc_done (a deep memory-thread
   // queue) would stall every later message on this MS — including one-sided
   // READ responses — behind a slot that is not actually occupied yet.
-  sim->At(svc_done, [ms, cs, cfg, sim, opcode, arg, arg2, body, &response,
-                     &done] {
-    SHERMAN_CHECK_MSG(ms->rpc_handler() != nullptr,
-                      "RPC to MS %u with no handler installed", ms->id());
-    response = ms->rpc_handler()(opcode, arg, arg2, body);
+  // `call` lives in this frame until `done` resumes it.
+  sim_->At(svc_done, [this, c = &call] { ServeRpc(c); });
+  co_await call.done;
+  co_return call.response;
+}
 
-    // Response: SEND back to the CS.
-    const sim::SimTime resp_tx = ms->nic().ReserveTx(sim->now(), kRpcBytes);
-    const sim::SimTime resp_arrive = resp_tx + cfg->wire_latency_ns;
-    const sim::SimTime resp_done = cs->nic().ReserveRx(resp_arrive, kRpcBytes);
-    sim->At(resp_done + cfg->cq_poll_ns, [&done] { done.Fire(); });
-  });
-  co_await done;
-  co_return response;
+void Qp::ServeRpc(RpcCall* call) {
+  SHERMAN_CHECK_MSG(ms_->rpc_handler() != nullptr,
+                    "RPC to MS %u with no handler installed", ms_->id());
+  call->response =
+      ms_->rpc_handler()(call->opcode, call->arg, call->arg2, call->body);
+
+  // Response: SEND back to the CS.
+  const sim::SimTime resp_tx = ms_->nic().ReserveTx(sim_->now(), kRpcBytes);
+  const sim::SimTime resp_arrive = resp_tx + cfg_->wire_latency_ns;
+  const sim::SimTime resp_done = cs_->nic().ReserveRx(resp_arrive, kRpcBytes);
+  sim_->At(resp_done + cfg_->cq_poll_ns, [call] { call->done.Fire(); });
 }
 
 }  // namespace sherman::rdma

@@ -113,13 +113,16 @@ class Qp {
 
   // Posts a single signaled work request; resumes when its completion entry
   // would be polled from the CQ.
-  sim::Task<RdmaResult> Post(WorkRequest wr);
+  sim::Task<RdmaResult> Post(const WorkRequest& wr) { return PostWrs(wr, {}); }
 
   // Posts a doorbell-batched list; WRs execute in order at the target NIC;
   // a single completion (for the last WR) ends the call. READ or atomic WRs
   // may only appear in the last position (earlier ones would need their own
   // response; Sherman never batches them).
-  sim::Task<RdmaResult> PostBatch(std::vector<WorkRequest> wrs);
+  sim::Task<RdmaResult> PostBatch(std::vector<WorkRequest> wrs) {
+    SHERMAN_CHECK(!wrs.empty());
+    return PostWrs(WorkRequest(), std::move(wrs));
+  }
 
   // Posts a doorbell-batched list of INDEPENDENT READs (op pipelining):
   // one doorbell ring, request headers leave the TX engine back to back,
@@ -146,9 +149,25 @@ class Qp {
   static uint32_t RequestPayload(const WorkRequest& wr);
   static uint32_t ResponsePayload(const WorkRequest& wr);
 
+  // The one body of Post and PostBatch: posts `batch`, or `one` when
+  // `batch` is empty. Both are coroutine parameters, so the WRs live in the
+  // posting frame, and the DMA events point at them there: every event
+  // this schedules fires no later than the completion that resumes it.
+  sim::Task<RdmaResult> PostWrs(WorkRequest one,
+                                std::vector<WorkRequest> batch);
+
   // Schedules the MS-side DMA of one READ (PCIe ordering vs prior posted
   // writes, in-flight-read registration) and returns its completion time.
-  sim::SimTime ScheduleReadDma(const WorkRequest& wr, sim::SimTime exec_ready);
+  // `wr` and `*handle` (the region's in-flight-read handle) must stay alive
+  // until that time.
+  sim::SimTime ScheduleReadDma(const WorkRequest& wr, sim::SimTime exec_ready,
+                               uint64_t* handle);
+
+  // An RPC in flight; lives in the calling Rpc() frame.
+  struct RpcCall;
+  // Runs the MS handler for `call` at service completion and schedules
+  // its response.
+  void ServeRpc(RpcCall* call);
 
   ComputeServer* cs_;
   MemoryServer* ms_;

@@ -1,15 +1,6 @@
 #include "sim/simulator.h"
 
-#include "util/logging.h"
-
 namespace sherman::sim {
-
-void Simulator::At(SimTime t, EventQueue::Callback fn) {
-  SHERMAN_CHECK_MSG(t >= now_, "scheduling into the past: t=%llu now=%llu",
-                    static_cast<unsigned long long>(t),
-                    static_cast<unsigned long long>(now_));
-  queue_.Push(t, std::move(fn));
-}
 
 bool Simulator::RunOne() {
   if (queue_.empty()) return false;

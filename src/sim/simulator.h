@@ -6,10 +6,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <utility>
 
 #include "sim/event_queue.h"
+#include "util/logging.h"
 
 namespace sherman::sim {
 
@@ -23,12 +24,20 @@ class Simulator {
   uint64_t steps() const { return steps_; }
   bool idle() const { return queue_.empty(); }
 
-  // Schedules fn at absolute time t (>= now).
-  void At(SimTime t, EventQueue::Callback fn);
+  // Schedules fn at absolute time t (>= now). fn is any callable whose
+  // capture fits an EventQueue::Callback (see InlineCallback).
+  template <typename F>
+  void At(SimTime t, F&& fn) {
+    SHERMAN_CHECK_MSG(t >= now_, "scheduling into the past: t=%llu now=%llu",
+                      static_cast<unsigned long long>(t),
+                      static_cast<unsigned long long>(now_));
+    queue_.Push(t, std::forward<F>(fn));
+  }
 
   // Schedules fn `delay` nanoseconds from now.
-  void After(SimTime delay, EventQueue::Callback fn) {
-    At(now_ + delay, std::move(fn));
+  template <typename F>
+  void After(SimTime delay, F&& fn) {
+    At(now_ + delay, std::forward<F>(fn));
   }
 
   // Processes the earliest event. Returns false if the queue is empty.

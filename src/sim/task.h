@@ -8,17 +8,147 @@
 //
 // The library is exception-free (database-engine style); an exception
 // escaping a coroutine aborts the process.
+//
+// Coroutine frames come from FramePool, a per-thread set of free lists, so a
+// simulated op allocates no heap memory for its frames once the pool is warm.
 #ifndef SHERMAN_SIM_TASK_H_
 #define SHERMAN_SIM_TASK_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdlib>
+#include <new>
 #include <optional>
 #include <utility>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define SHERMAN_FRAME_POOL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SHERMAN_FRAME_POOL_ASAN 1
+#endif
+#endif
+#ifdef SHERMAN_FRAME_POOL_ASAN
+#include <sanitizer/asan_interface.h>
+
+#include <mutex>
+#endif
+
 namespace sherman::sim {
 
+// FramePool: per-thread free lists of fixed-size blocks in 64-byte size
+// classes, for coroutine frames (and other short-lived per-op buffers).
+// Blocks larger than kMaxPooled go straight to ::operator new. Freed blocks
+// are kept for reuse, never returned, so the pool holds its high-water mark.
+// A free block's list link is its last word. Under AddressSanitizer the
+// rest of a free block is poisoned until it is handed out again, so a touch
+// of a destroyed frame (its resume/destroy pointers lead it) still reports.
+class FramePool {
+ public:
+  static constexpr size_t kClassBytes = 64;
+  static constexpr size_t kClasses = 64;
+  static constexpr size_t kMaxPooled = kClassBytes * kClasses;  // 4 KB
+
+  static void* Allocate(size_t bytes) {
+    if (bytes > kMaxPooled) return ::operator new(bytes);
+    const size_t block_bytes = RoundUp(bytes);
+    void*& head = Lists()[ClassOf(bytes)];
+    void* block = head;
+    if (block == nullptr) return ::operator new(block_bytes);
+#ifdef SHERMAN_FRAME_POOL_ASAN
+    ASAN_UNPOISON_MEMORY_REGION(block, block_bytes);
+#endif
+    head = Link(block, block_bytes);
+    return block;
+  }
+
+  static void Free(void* p, size_t bytes) noexcept {
+    if (bytes > kMaxPooled) {
+      ::operator delete(p);
+      return;
+    }
+    const size_t block_bytes = RoundUp(bytes);
+    void*& head = Lists()[ClassOf(bytes)];
+    Link(p, block_bytes) = head;
+    head = p;
+#ifdef SHERMAN_FRAME_POOL_ASAN
+    // The link stays readable: LeakSanitizer skips poisoned words, and
+    // the pool's blocks must stay reachable through it.
+    ASAN_POISON_MEMORY_REGION(p, block_bytes - sizeof(void*));
+#endif
+  }
+
+ private:
+  static size_t ClassOf(size_t bytes) {
+    return bytes == 0 ? 0 : (bytes - 1) / kClassBytes;
+  }
+  static size_t RoundUp(size_t bytes) {
+    return (ClassOf(bytes) + 1) * kClassBytes;
+  }
+  static void*& Link(void* block, size_t block_bytes) {
+    return *reinterpret_cast<void**>(static_cast<char*>(block) + block_bytes -
+                                     sizeof(void*));
+  }
+
+#ifndef SHERMAN_FRAME_POOL_ASAN
+  static void** Lists() { return free_; }
+
+  static inline thread_local void* free_[kClasses] = {};
+#else
+  // LeakSanitizer does not see pointers held only in thread-local storage,
+  // so here each thread's list heads live on the heap, chained from a
+  // global: pooled blocks stay reachable, while a frame that is never
+  // destroyed still reads as a leak.
+  struct ThreadLists {
+    void* heads[kClasses] = {};
+    ThreadLists* next = nullptr;
+  };
+
+  static void** Lists() {
+    static thread_local ThreadLists* mine = [] {
+      static std::mutex mu;
+      static ThreadLists* all = nullptr;
+      auto* lists = new ThreadLists;
+      std::lock_guard<std::mutex> lock(mu);
+      lists->next = std::exchange(all, lists);
+      return lists;
+    }();
+    return mine->heads;
+  }
+#endif
+};
+
+// A buffer drawn from FramePool, for per-op scratch owned by a coroutine
+// frame (e.g. the payload snapshot of a doorbell batch).
+class PooledBuffer {
+ public:
+  explicit PooledBuffer(size_t bytes)
+      : bytes_(bytes), data_(bytes > 0 ? FramePool::Allocate(bytes) : nullptr) {}
+  ~PooledBuffer() {
+    if (data_ != nullptr) FramePool::Free(data_, bytes_);
+  }
+  PooledBuffer(const PooledBuffer&) = delete;
+  PooledBuffer& operator=(const PooledBuffer&) = delete;
+
+  template <typename T = unsigned char>
+  T* data() const {
+    return static_cast<T*>(data_);
+  }
+
+ private:
+  size_t bytes_;
+  void* data_;
+};
+
 namespace internal {
+
+// Routes a promise type's coroutine frames through FramePool.
+struct PooledFrame {
+  static void* operator new(size_t bytes) { return FramePool::Allocate(bytes); }
+  static void operator delete(void* p, size_t bytes) noexcept {
+    FramePool::Free(p, bytes);
+  }
+};
 
 struct FinalAwaiter {
   bool await_ready() const noexcept { return false; }
@@ -31,7 +161,7 @@ struct FinalAwaiter {
   void await_resume() const noexcept {}
 };
 
-struct PromiseBase {
+struct PromiseBase : PooledFrame {
   std::coroutine_handle<> continuation;
 
   std::suspend_always initial_suspend() noexcept { return {}; }
@@ -125,7 +255,7 @@ namespace internal {
 
 // Self-destroying driver for detached coroutines.
 struct Detached {
-  struct promise_type {
+  struct promise_type : PooledFrame {
     Detached get_return_object() { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

@@ -106,6 +106,59 @@ TEST(MemoryRegionTest, InflightBookkeeping) {
   EXPECT_EQ(r.inflight_reads(), 0u);
 }
 
+TEST(MemoryRegionTest, NonFifoEndReadKeepsOtherWindows) {
+  MemoryRegion r(4096);
+  uint8_t a[8] = {0}, b[8] = {0}, c[8] = {0};
+  const uint64_t ha = r.BeginRead(0, 8, a, 0, 100);
+  const uint64_t hb = r.BeginRead(16, 8, b, 0, 100);
+  const uint64_t hc = r.BeginRead(32, 8, c, 0, 100);
+  EXPECT_EQ(r.inflight_reads(), 3u);
+
+  // End the middle window first: the first and last stay registered, so a
+  // write landing before their DMA starts still reaches both buffers.
+  r.EndRead(hb);
+  EXPECT_EQ(r.inflight_reads(), 2u);
+  const std::vector<uint8_t> x(40, 4);
+  r.Write(0, 0, x.data(), 40);
+  for (int i = 0; i < 8; i++) {
+    EXPECT_EQ(a[i], 4) << i;
+    EXPECT_EQ(b[i], 0) << i;  // ended: never patched
+    EXPECT_EQ(c[i], 4) << i;
+  }
+
+  // Then the first window: only the last one remains.
+  r.EndRead(ha);
+  EXPECT_EQ(r.inflight_reads(), 1u);
+  const uint8_t y[8] = {6, 6, 6, 6, 6, 6, 6, 6};
+  r.Write(0, 0, y, 8);
+  r.Write(0, 32, y, 8);
+  for (int i = 0; i < 8; i++) {
+    EXPECT_EQ(a[i], 4) << i;
+    EXPECT_EQ(c[i], 6) << i;
+  }
+  r.EndRead(hc);
+  EXPECT_EQ(r.inflight_reads(), 0u);
+}
+
+TEST(MemoryRegionTest, WriteAcrossTwoWindowsPatchesEachAtItsProgress) {
+  MemoryRegion r(4096);
+  uint8_t a[64] = {0}, b[64] = {0};
+  // Window A reads [0, 64) over [0, 64); window B reads [64, 128) over
+  // [16, 80). Both move 1 byte per ns.
+  const uint64_t ha = r.BeginRead(0, 64, a, 0, 64);
+  const uint64_t hb = r.BeginRead(64, 64, b, 16, 80);
+  // One write of [16, 112) at t=32: A has passed byte 32, B byte 80.
+  std::vector<uint8_t> w(96, 9);
+  r.Write(32, 16, w.data(), 96);
+  r.EndRead(hb);
+  r.EndRead(ha);
+  for (int i = 0; i < 32; i++) EXPECT_EQ(a[i], 0) << i;
+  for (int i = 32; i < 64; i++) EXPECT_EQ(a[i], 9) << i;
+  for (int i = 0; i < 16; i++) EXPECT_EQ(b[i], 0) << i;   // [64, 80)
+  for (int i = 16; i < 48; i++) EXPECT_EQ(b[i], 9) << i;  // [80, 112)
+  for (int i = 48; i < 64; i++) EXPECT_EQ(b[i], 0) << i;  // past the write
+}
+
 // --- MemoryRegion backing: lazily zero-filled, guard page after the end ---
 
 // Resident set size of this process, from /proc/self/statm.

@@ -2,6 +2,12 @@
 // simulator, coroutine tasks, and synchronization primitives.
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <queue>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -30,6 +36,72 @@ TEST(EventQueueTest, TiesBreakByInsertionOrder) {
   }
   while (!q.empty()) q.Pop()();
   for (int i = 0; i < 10; i++) EXPECT_EQ(order[i], i);
+}
+
+// Differential check against a reference priority queue of (time, seq):
+// random interleaved pushes and pops, few distinct timestamps (many ties),
+// and enough pops in between that callback slots are reused.
+TEST(EventQueueTest, MatchesReferenceOrderUnderInterleaving) {
+  using Ref = std::tuple<SimTime, uint64_t>;  // (time, seq == event id)
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref;
+  EventQueue q;
+  uint64_t next_id = 0;
+  uint64_t fired = ~0ull;
+  uint64_t state = 12345;
+  auto rand = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  for (int step = 0; step < 10'000; step++) {
+    if (ref.empty() || rand() % 100 < 55) {
+      const SimTime t = rand() % 16;
+      const uint64_t id = next_id++;
+      q.Push(t, [&fired, id] { fired = id; });
+      ref.emplace(t, id);
+    } else {
+      ASSERT_EQ(q.NextTime(), std::get<0>(ref.top()));
+      q.Pop()();
+      ASSERT_EQ(fired, std::get<1>(ref.top())) << "step " << step;
+      ref.pop();
+    }
+    ASSERT_EQ(q.size(), ref.size());
+  }
+  while (!ref.empty()) {
+    q.Pop()();
+    ASSERT_EQ(fired, std::get<1>(ref.top()));
+    ref.pop();
+  }
+  EXPECT_TRUE(q.empty());
+  // Slots were reused: far fewer were allocated than events pushed.
+  EXPECT_LT(q.slots(), next_id / 4);
+}
+
+// A move-only capture is destroyed exactly once, whether its event fired
+// or was still pending when the queue was destroyed.
+TEST(EventQueueTest, MoveOnlyCaptureDestroyedOnce) {
+  struct Probe {
+    int* destroyed;
+    ~Probe() { ++*destroyed; }
+  };
+  int fired_destroyed = 0;
+  int pending_destroyed = 0;
+  int calls = 0;
+  {
+    EventQueue q;
+    q.Push(1, [p = std::unique_ptr<Probe>(new Probe{&fired_destroyed}),
+               &calls] { calls++; });
+    q.Push(2,
+           [p = std::unique_ptr<Probe>(new Probe{&pending_destroyed})] {});
+    // Filler events move the heap around the pending callback's slot.
+    for (int i = 0; i < 100; i++) q.Push(3 + i, [] {});
+    EventQueue::Callback fn = q.Pop();
+    EXPECT_EQ(fired_destroyed, 0);
+    fn();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(fired_destroyed, 0);  // the callback still owns its capture
+  }
+  EXPECT_EQ(fired_destroyed, 1);
+  EXPECT_EQ(pending_destroyed, 1);
 }
 
 TEST(SimulatorTest, AdvancesTime) {
@@ -149,6 +221,43 @@ TEST(OneShotTest, FireBeforeAwaitIsReady) {
   }(&shot, &resumed));
   EXPECT_TRUE(resumed);
 }
+
+// --- frame pool ---
+
+TEST(FramePoolTest, ReusesFreedFrames) {
+  void* a = FramePool::Allocate(200);
+  FramePool::Free(a, 200);
+  void* b = FramePool::Allocate(250);  // same 64-byte class (193-256 B)
+  EXPECT_EQ(a, b);
+  FramePool::Free(b, 250);
+}
+
+#ifdef SHERMAN_FRAME_POOL_ASAN  // set by sim/task.h under ASan
+// Hands the awaiting coroutine's frame address out and continues at once.
+struct FrameAddress {
+  void** out;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) noexcept {
+    *out = h.address();
+    return false;
+  }
+  void await_resume() const noexcept {}
+};
+
+// A destroyed frame goes back to the pool poisoned, so ASan still reports
+// a touch of it, e.g. resuming a dangling handle reads its first word.
+TEST(FramePoolDeathTest, TouchOfDestroyedFrameReports) {
+  void* frame = nullptr;
+  Spawn([](void** out) -> Task<void> { co_await FrameAddress{out}; }(&frame));
+  ASSERT_NE(frame, nullptr);
+  EXPECT_DEATH(
+      {
+        volatile char first = *static_cast<volatile char*>(frame);
+        (void)first;
+      },
+      "use-after-poison");
+}
+#endif
 
 // --- CoroQueue / CountdownLatch ---
 
