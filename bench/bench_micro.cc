@@ -1,12 +1,12 @@
 // google-benchmark microbenchmarks for the hot in-process paths: node
 // search/scan, entry writes, Zipfian generation, CRC32, histogram inserts,
-// skiplist probes. These are host-CPU costs (not simulated time) and back
-// the cpu_*_ns constants in rdma/config.h.
+// index-cache probes and refills. These are host-CPU costs (not simulated
+// time) and back the cpu_*_ns constants in rdma/config.h.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
-#include "cache/skiplist.h"
+#include "cache/index_cache.h"
 #include "core/node_layout.h"
 #include "util/crc32.h"
 #include "util/histogram.h"
@@ -115,19 +115,57 @@ void BM_HistogramAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramAdd);
 
-void BM_SkipListLookup(benchmark::State& state) {
-  SkipList<uint64_t> sl;
-  Random rng(5);
-  for (int i = 0; i < state.range(0); i++) {
-    sl.Insert(rng.Next() % 1'000'000, i);
+// A level-1 node with `fanout` children covering [lo, lo + width).
+ParsedInternal MicroLevel1Node(Key lo, Key width, int fanout) {
+  ParsedInternal p;
+  p.level = 1;
+  p.lo = lo;
+  p.hi = lo + width;
+  p.self = rdma::GlobalAddress(0, 4096 + lo);
+  p.leftmost = rdma::GlobalAddress(1, 4096);
+  for (int i = 1; i < fanout; i++) {
+    p.entries.emplace_back(lo + width * i / fanout,
+                           rdma::GlobalAddress(1, 4096 + 1024 * i));
   }
-  uint64_t found_key;
+  return p;
+}
+
+// Type-① lookups over a full cache of range(0) level-1 nodes.
+void BM_IndexCacheLookup(benchmark::State& state) {
+  const uint64_t nodes = static_cast<uint64_t>(state.range(0));
+  IndexCache cache(nodes * 1024, 1024, 5);
+  for (uint64_t i = 0; i < nodes; i++) {
+    cache.Insert(MicroLevel1Node(i * 1000, 1000, 60));
+  }
+  Random rng(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sl.FindLessOrEqual(rng.Next() % 1'000'000, &found_key));
+    benchmark::DoNotOptimize(cache.LookupLevel1(rng.Uniform(nodes * 1000)));
   }
 }
-BENCHMARK(BM_SkipListLookup)->Arg(1000)->Arg(100'000);
+BENCHMARK(BM_IndexCacheLookup)->Arg(128)->Arg(4096);
+
+// The miss path: every insert into a full cache of range(0) nodes evicts
+// one (4096 = the 4 MB default capacity at 1 KB nodes).
+void BM_IndexCacheInsertEvict(benchmark::State& state) {
+  const uint64_t nodes = static_cast<uint64_t>(state.range(0));
+  IndexCache cache(nodes * 1024, 1024, 6);
+  constexpr uint64_t kUniverse = 1'000'000;
+  Random rng(6);
+  for (uint64_t i = 0; i < nodes; i++) {
+    cache.Insert(MicroLevel1Node(rng.Uniform(kUniverse) * 1000, 1000, 60));
+  }
+  ParsedInternal n = MicroLevel1Node(0, 1000, 60);
+  for (auto _ : state) {
+    // Move the node to a random range; its separators move with it.
+    const Key lo = rng.Uniform(kUniverse) * 1000;
+    for (auto& entry : n.entries) entry.first = entry.first - n.lo + lo;
+    n.lo = lo;
+    n.hi = lo + 1000;
+    cache.Insert(n);
+  }
+  benchmark::DoNotOptimize(cache.stats().evictions);
+}
+BENCHMARK(BM_IndexCacheInsertEvict)->Arg(128)->Arg(4096);
 
 }  // namespace
 }  // namespace sherman

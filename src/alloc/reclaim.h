@@ -25,13 +25,18 @@
 //    epoch retires, so under continuous load the grace window is "all
 //    ops in flight at free time have completed".
 //
+// Pin counts live in epoch-sorted rings of {epoch, count} (one fabric-wide,
+// one per compute server): epochs only grow, so Enter bumps or appends at
+// the back, Exit binary-searches, and only zero counts at the front are
+// trimmed. Steady state allocates nothing.
+//
 // Single simulator thread; no synchronization needed.
 #ifndef SHERMAN_ALLOC_RECLAIM_H_
 #define SHERMAN_ALLOC_RECLAIM_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <set>
+#include <vector>
 
 namespace sherman {
 
@@ -52,10 +57,11 @@ class ReclaimEpoch {
   // fabric-wide.
   uint64_t Enter(int cs = -1) {
     if (cs >= 0) {
-      if (dead_.count(cs)) return kDeadEpoch;  // dead clients pin nothing
-      by_cs_[cs][global_]++;
+      if (IsDead(cs)) return kDeadEpoch;  // dead clients pin nothing
+      if (static_cast<size_t>(cs) >= by_cs_.size()) by_cs_.resize(cs + 1);
+      by_cs_[cs].Add(global_);
     }
-    active_[global_]++;
+    active_.Add(global_);
     return global_;
   }
 
@@ -72,13 +78,15 @@ class ReclaimEpoch {
   // recycle pools while recovery still reads them.
   void MarkDead(int cs);
 
-  bool IsDead(int cs) const { return dead_.count(cs) != 0; }
+  bool IsDead(int cs) const {
+    return cs >= 0 && static_cast<size_t>(cs) < dead_.size() && dead_[cs];
+  }
 
   // Oldest epoch any in-flight operation is still pinned at (the global
   // epoch if none). A node freed at epoch E may be recycled only once
   // MinActive() > E.
   uint64_t MinActive() const {
-    return active_.empty() ? global_ : active_.begin()->first;
+    return active_.empty() ? global_ : active_.front_epoch();
   }
 
   bool SafeToRecycle(uint64_t freed_epoch) const {
@@ -89,29 +97,58 @@ class ReclaimEpoch {
   // DMSan's use-after-free rule keys off this: a read of a node past its
   // grace window is only safe under a live pin.
   uint64_t ActivePins(int cs) const {
-    const auto it = by_cs_.find(cs);
-    if (it == by_cs_.end()) return 0;
-    uint64_t n = 0;
-    for (const auto& [epoch, count] : it->second) n += count;
-    return n;
+    if (cs < 0 || static_cast<size_t>(cs) >= by_cs_.size()) return 0;
+    return by_cs_[cs].Total();
   }
 
-  uint64_t pinned_ops() const {
-    uint64_t n = 0;
-    for (const auto& [e, c] : active_) n += c;
-    return n;
-  }
+  uint64_t pinned_ops() const { return active_.Total(); }
 
  private:
   // Sentinel returned by Enter() for dead clients; Exit ignores it.
   static constexpr uint64_t kDeadEpoch = ~0ull;
 
+  // Pin counts by epoch, ascending, in a circular buffer that doubles when
+  // full. The front count is never zero (zeros there are trimmed at once);
+  // zeros further back stay until they reach the front or are refilled.
+  class EpochRing {
+   public:
+    bool empty() const { return size_ == 0; }
+    uint64_t front_epoch() const { return At(0).epoch; }
+
+    // One more pin at `epoch`, which is >= every epoch in the ring.
+    void Add(uint64_t epoch);
+    // Removes `n` pins at `epoch`; false (and no change) if it holds
+    // fewer.
+    bool Remove(uint64_t epoch, uint64_t n = 1);
+    uint64_t Total() const;
+
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      for (size_t i = 0; i < size_; i++) fn(At(i).epoch, At(i).count);
+    }
+    void Clear() { head_ = size_ = 0; }
+
+   private:
+    struct Slot {
+      uint64_t epoch;
+      uint64_t count;
+    };
+    Slot& At(size_t i) { return slots_[(head_ + i) & (slots_.size() - 1)]; }
+    const Slot& At(size_t i) const {
+      return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+
+    std::vector<Slot> slots_;  // capacity: 0 or a power of two
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
   void AdvancePastDrained();
 
   uint64_t global_ = 1;  // epoch 0 is "freed before any pin existed"
-  std::map<uint64_t, uint64_t> active_;  // epoch -> in-flight op count
-  std::map<int, std::map<uint64_t, uint64_t>> by_cs_;  // cs -> epoch -> count
-  std::set<int> dead_;
+  EpochRing active_;                 // in-flight ops by epoch
+  std::vector<EpochRing> by_cs_;     // the same, per compute server
+  std::vector<bool> dead_;           // by cs
 };
 
 // RAII pin for one operation. Safe to construct with a null domain (unit

@@ -22,16 +22,29 @@ IndexCache::IndexCache(uint64_t capacity_bytes, uint32_t node_bytes,
 
 IndexCache::~IndexCache() = default;
 
+std::vector<IndexCache::IndexRef>::iterator IndexCache::LowerBound(Key key) {
+  return std::lower_bound(
+      index_.begin(), index_.end(), key,
+      [](const IndexRef& r, Key k) { return r.lo < k; });
+}
+
+std::vector<IndexCache::IndexRef>::iterator IndexCache::FindCovering(
+    Key key) {
+  auto it = std::upper_bound(
+      index_.begin(), index_.end(), key,
+      [](Key k, const IndexRef& r) { return k < r.lo; });
+  if (it == index_.begin()) return index_.end();
+  --it;
+  return key < it->hi ? it : index_.end();
+}
+
 const ParsedInternal* IndexCache::LookupLevel1(Key key) {
-  uint64_t found_lo = 0;
-  std::unique_ptr<Entry>* slot = level1_.FindLessOrEqual(key, &found_lo);
-  if (slot != nullptr) {
-    Entry* e = slot->get();
-    if (key >= e->node.lo && key < e->node.hi) {
-      e->last_used = ++tick_;
-      stats_.hits++;
-      return &e->node;
-    }
+  const auto it = FindCovering(key);
+  if (it != index_.end()) {
+    Entry& e = slots_[it->slot];
+    e.last_used = ++tick_;
+    stats_.hits++;
+    return &e.node;
   }
   stats_.misses++;
   return nullptr;
@@ -50,22 +63,51 @@ void IndexCache::Insert(const ParsedInternal& node) {
     }
     return;
   }
-  uint64_t found_lo = 0;
-  std::unique_ptr<Entry>* slot = level1_.FindLessOrEqual(node.lo, &found_lo);
-  if (slot != nullptr && found_lo == node.lo) {
+  const auto it = LowerBound(node.lo);
+  if (it != index_.end() && it->lo == node.lo) {
     // Refresh in place.
-    (*slot)->node = node;
-    (*slot)->last_used = ++tick_;
+    Entry& e = slots_[it->slot];
+    e.node = node;
+    e.last_used = ++tick_;
+    it->hi = node.hi;
     return;
   }
-  auto entry = std::make_unique<Entry>();
-  entry->node = node;
-  entry->last_used = ++tick_;
-  entry->pool_index = pool_.size();
-  pool_.push_back(entry.get());
-  level1_.Insert(node.lo, std::move(entry));
+  const uint32_t slot = AllocSlot();
+  Entry& e = slots_[slot];
+  e.node = node;  // a recycled slot reuses its entries' capacity
+  e.last_used = ++tick_;
+  e.pool_index = static_cast<uint32_t>(pool_.size());
+  pool_.push_back(slot);
   bytes_used_ += node_bytes_;
-  EvictIfNeeded();
+  // The new node joins index_ after eviction so that an evicting insert
+  // moves only the index span between the victim and the new position.
+  const IndexRef ref{node.lo, node.hi, slot};
+  const uint32_t victim = EvictIfNeeded();
+  if (victim == slot) return;  // the new node itself was evicted
+  if (victim == kNoSlot) {
+    index_.insert(it, ref);
+    return;
+  }
+  const auto gone = LowerBound(slots_[victim].node.lo);
+  SHERMAN_CHECK(gone != index_.end() && gone->slot == victim);
+  if (gone < it) {
+    // Entries between the victim and the new position slide left.
+    std::move(gone + 1, it, gone);
+    *(it - 1) = ref;
+  } else {
+    std::move_backward(it, gone, gone + 1);
+    *it = ref;
+  }
+}
+
+uint32_t IndexCache::AllocSlot() {
+  if (!free_.empty()) {
+    const uint32_t slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+  slots_.emplace_back();
+  return static_cast<uint32_t>(slots_.size() - 1);
 }
 
 const ParsedInternal* IndexCache::LookupUpper(Key key) {
@@ -86,15 +128,11 @@ const ParsedInternal* IndexCache::LookupUpper(Key key) {
 }
 
 void IndexCache::Invalidate(Key key, rdma::GlobalAddress addr) {
-  uint64_t found_lo = 0;
-  std::unique_ptr<Entry>* slot = level1_.FindLessOrEqual(key, &found_lo);
-  if (slot != nullptr) {
-    Entry* e = slot->get();
-    if (e->node.self == addr && key >= e->node.lo && key < e->node.hi) {
-      stats_.invalidations++;
-      RemoveEntry(e);
-      return;
-    }
+  const auto level1 = FindCovering(key);
+  if (level1 != index_.end() && slots_[level1->slot].node.self == addr) {
+    stats_.invalidations++;
+    RemoveEntry(level1->slot);
+    return;
   }
   for (auto& [level, nodes] : upper_) {
     auto it = nodes.upper_bound(key);
@@ -112,14 +150,10 @@ void IndexCache::Invalidate(Key key, rdma::GlobalAddress addr) {
 }
 
 void IndexCache::InvalidateLevel1Covering(Key key) {
-  uint64_t found_lo = 0;
-  std::unique_ptr<Entry>* slot = level1_.FindLessOrEqual(key, &found_lo);
-  if (slot != nullptr) {
-    Entry* e = slot->get();
-    if (key >= e->node.lo && key < e->node.hi) {
-      stats_.invalidations++;
-      RemoveEntry(e);
-    }
+  const auto it = FindCovering(key);
+  if (it != index_.end()) {
+    stats_.invalidations++;
+    RemoveEntry(it->slot);
   }
 }
 
@@ -139,32 +173,43 @@ void IndexCache::InvalidateUpperCovering(Key key, rdma::GlobalAddress child) {
 }
 
 void IndexCache::InvalidateKeyRange(Key lo, Key hi) {
-  std::vector<Entry*> victims;
-  for (Entry* e : pool_) {
-    if (e->node.lo < hi && e->node.hi > lo) victims.push_back(e);
+  // Removal swap-reorders pool_, so collect first, in pool order.
+  std::vector<uint32_t> victims;
+  for (const uint32_t slot : pool_) {
+    const ParsedInternal& node = slots_[slot].node;
+    if (node.lo < hi && node.hi > lo) victims.push_back(slot);
   }
-  for (Entry* e : victims) {
+  for (const uint32_t slot : victims) {
     stats_.invalidations++;
-    RemoveEntry(e);
+    RemoveEntry(slot);
   }
 }
 
 void IndexCache::Clear() {
-  while (!pool_.empty()) RemoveEntry(pool_.back());
+  free_.insert(free_.end(), pool_.begin(), pool_.end());
+  pool_.clear();
+  index_.clear();
+  bytes_used_ = 0;
   upper_.clear();
   upper_count_ = 0;
   upper_bytes_ = 0;
 }
 
-void IndexCache::RemoveEntry(Entry* entry) {
-  // Swap-remove from the sampling pool, then drop from the skiplist.
-  const size_t idx = entry->pool_index;
-  SHERMAN_CHECK(idx < pool_.size() && pool_[idx] == entry);
+void IndexCache::RemoveEntry(uint32_t slot) {
+  const auto it = LowerBound(slots_[slot].node.lo);
+  SHERMAN_CHECK(it != index_.end() && it->slot == slot);
+  index_.erase(it);
+  ReleaseSlot(slot);
+}
+
+void IndexCache::ReleaseSlot(uint32_t slot) {
+  // Swap-remove from the sampling pool, then recycle the slot.
+  const uint32_t idx = slots_[slot].pool_index;
+  SHERMAN_CHECK(idx < pool_.size() && pool_[idx] == slot);
   pool_[idx] = pool_.back();
-  pool_[idx]->pool_index = idx;
+  slots_[pool_[idx]].pool_index = idx;
   pool_.pop_back();
-  const Key lo = entry->node.lo;
-  SHERMAN_CHECK(level1_.Erase(lo));
+  free_.push_back(slot);
   bytes_used_ -= node_bytes_;
 }
 
@@ -191,16 +236,18 @@ void IndexCache::EvictUpperIfNeeded() {
   }
 }
 
-void IndexCache::EvictIfNeeded() {
+uint32_t IndexCache::EvictIfNeeded() {
   // Power-of-two-choices (§4.2.3): sample two cached nodes, evict the one
-  // least recently used.
-  while (bytes_used_ > capacity_bytes_ && pool_.size() > 1) {
-    Entry* a = pool_[rng_.Uniform(pool_.size())];
-    Entry* b = pool_[rng_.Uniform(pool_.size())];
-    Entry* victim = (a->last_used <= b->last_used) ? a : b;
-    stats_.evictions++;
-    RemoveEntry(victim);
-  }
+  // least recently used. The cache was within capacity (or held a single
+  // node) before the insert that calls this, so one eviction restores it.
+  if (bytes_used_ <= capacity_bytes_ || pool_.size() <= 1) return kNoSlot;
+  const uint32_t a = pool_[rng_.Uniform(pool_.size())];
+  const uint32_t b = pool_[rng_.Uniform(pool_.size())];
+  const uint32_t victim =
+      (slots_[a].last_used <= slots_[b].last_used) ? a : b;
+  stats_.evictions++;
+  ReleaseSlot(victim);
+  return victim;
 }
 
 }  // namespace sherman

@@ -1,11 +1,15 @@
 // IndexCache: the compute-server-side cache of internal tree nodes
 // (§4.2.3).
 //
-// Type ① — level-1 nodes (parents of leaves) — are cached in a skiplist
-// keyed by lower fence key, bounded by a byte capacity, and evicted with
-// power-of-two-choices: sample two random cached nodes and drop the least
-// recently used. A hit resolves a key directly to a leaf address (one
-// RDMA_READ per operation in the ideal case).
+// Type ① — level-1 nodes (parents of leaves) — are cached under a byte
+// capacity and evicted with power-of-two-choices: sample two random cached
+// nodes and drop the least recently used. A hit resolves a key directly to
+// a leaf address (one RDMA_READ per operation in the ideal case). The
+// paper keys this cache with a skiplist; here the nodes live in a slot
+// arena recycled through a free list (a reused slot keeps its buffers, so
+// a refill copies without allocating) and lookups binary-search a sorted
+// array of {lo fence, hi fence, slot}. That is a host structure only: the
+// simulated lookup charge (`cpu_cache_lookup_ns`) does not depend on it.
 //
 // Type ② — the upper levels (level >= 2, including the root) — are cached
 // in per-level ordered maps under a dedicated byte budget (a quarter of the
@@ -22,10 +26,8 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
-#include "cache/skiplist.h"
 #include "core/node_layout.h"
 #include "rdma/global_address.h"
 #include "util/random.h"
@@ -56,7 +58,9 @@ class IndexCache {
   IndexCache& operator=(const IndexCache&) = delete;
 
   // Type-① lookup: if a cached level-1 node covers `key`, returns it (its
-  // ChildFor(key) is the target leaf). Counts a hit/miss.
+  // ChildFor(key) is the target leaf). Counts a hit/miss. Returned nodes
+  // (here and from LookupUpper) stay valid until the next call that
+  // inserts or drops entries.
   const ParsedInternal* LookupLevel1(Key key);
 
   // Caches a node: level-1 nodes go to the bounded type-① structure;
@@ -103,16 +107,37 @@ class IndexCache {
   struct Entry {
     ParsedInternal node;
     uint64_t last_used = 0;
-    size_t pool_index = 0;  // position in pool_ for O(1) random sampling
+    uint32_t pool_index = 0;  // position in pool_ for O(1) random sampling
+  };
+  // One type-① entry in lo-fence order; `hi` rides along so a miss is
+  // decided without touching the slot.
+  struct IndexRef {
+    Key lo;
+    Key hi;
+    uint32_t slot;
   };
   struct UpperEntry {
     ParsedInternal node;
     uint64_t last_used = 0;
   };
 
-  void EvictIfNeeded();
+  // First index_ entry with lo >= `key`.
+  std::vector<IndexRef>::iterator LowerBound(Key key);
+  // The type-① entry covering `key` (greatest lo <= key, key < hi), or
+  // index_.end().
+  std::vector<IndexRef>::iterator FindCovering(Key key);
+
+  static constexpr uint32_t kNoSlot = ~0u;
+
+  uint32_t AllocSlot();
+  // Evicts one type-① node if over capacity, releasing its slot but
+  // leaving its index_ entry to the caller; returns it (or kNoSlot).
+  uint32_t EvictIfNeeded();
   void EvictUpperIfNeeded();
-  void RemoveEntry(Entry* entry);
+  // Drops a live type-① node from index_, the pool and the arena.
+  void RemoveEntry(uint32_t slot);
+  // Drops a type-① node from the pool and recycles its slot.
+  void ReleaseSlot(uint32_t slot);
 
   uint64_t capacity_bytes_;
   uint64_t upper_capacity_bytes_;
@@ -123,8 +148,10 @@ class IndexCache {
   uint64_t upper_bytes_ = 0;
   size_t upper_count_ = 0;
 
-  SkipList<std::unique_ptr<Entry>> level1_;  // keyed by lo fence
-  std::vector<Entry*> pool_;                 // random-sampling mirror
+  std::vector<Entry> slots_;      // type-① arena, grown on demand
+  std::vector<uint32_t> free_;    // recycled slots of slots_
+  std::vector<IndexRef> index_;   // live entries sorted by lo fence
+  std::vector<uint32_t> pool_;    // live slots, random-sampling mirror
 
   // Type-② top cache: level -> (lo fence -> entry).
   std::map<uint8_t, std::map<Key, UpperEntry>> upper_;

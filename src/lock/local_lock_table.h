@@ -4,12 +4,13 @@
 // local lock before issuing the remote CAS for the global lock, so
 // conflicting threads of the same CS queue locally instead of burning
 // remote retries. Each local lock carries a FIFO wait queue (first-come-
-// first-served fairness) and a handover depth counter (Figure 6).
+// first-served fairness) and a handover depth counter (Figure 6). The
+// queue is intrusive: parked waiters live in their coroutine frames and
+// link through Waiter::next, so parking and waking never allocate.
 #ifndef SHERMAN_LOCK_LOCAL_LOCK_TABLE_H_
 #define SHERMAN_LOCK_LOCAL_LOCK_TABLE_H_
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 
 #include "fault/crash_point.h"
@@ -24,6 +25,35 @@ class LocalLockTable {
   struct Waiter {
     bool handover = false;
     sim::OneShot signal;
+    Waiter* next = nullptr;  // WaitQueue link
+  };
+
+  // FIFO of parked waiters, linked through Waiter::next.
+  class WaitQueue {
+   public:
+    bool empty() const { return head_ == nullptr; }
+    Waiter* front() const { return head_; }
+
+    void push_back(Waiter* w) {
+      w->next = nullptr;
+      if (tail_ == nullptr) {
+        head_ = w;
+      } else {
+        tail_->next = w;
+      }
+      tail_ = w;
+    }
+
+    void pop_front() {
+      Waiter* w = head_;
+      head_ = w->next;
+      if (head_ == nullptr) tail_ = nullptr;
+      w->next = nullptr;
+    }
+
+   private:
+    Waiter* head_ = nullptr;
+    Waiter* tail_ = nullptr;
   };
 
   LocalLockTable() = default;
@@ -37,7 +67,7 @@ class LocalLockTable {
   // frames through the parents that own them.
   ~LocalLockTable() {
     for (auto& [key, lock] : locks_) {
-      for (Waiter* w : lock.wait_queue) {
+      for (Waiter* w = lock.wait_queue.front(); w != nullptr; w = w->next) {
         fault::Injector().Bury(w->signal.DetachWaiter());
       }
     }
@@ -52,7 +82,7 @@ class LocalLockTable {
     // otherwise a long local handover chain could age the stamp past
     // expiry and get a LIVE holder's lock stolen.
     uint16_t lane_stamp = 0;
-    std::deque<Waiter*> wait_queue;
+    WaitQueue wait_queue;
   };
 
   // The local lock for GLT slot `index` on memory server `ms`. Lazily

@@ -29,8 +29,17 @@ uintptr_t TaintIndex::FirstGranule(uintptr_t begin) const {
 void TaintIndex::Add(uintptr_t begin, uint64_t src, uint64_t now) {
   SHERMAN_CHECK(begin != 0);
   if (count_ >= limit_) Compact(now);
-  Validate(begin, begin + len_);
-  Taint& slot = slots_[Probe(begin >> shift_)];
+  // One pass over the granules that can hold an overlapping taint: retire
+  // each overlap, and keep the slot of begin's own granule for the new one.
+  const uintptr_t end = begin + len_;
+  const uintptr_t own = begin >> shift_;
+  size_t at = 0;
+  for (uintptr_t g = FirstGranule(begin); g <= LastGranule(end); g++) {
+    const size_t i = Probe(g);
+    if (Overlaps(slots_[i], begin, end)) slots_[i].validated = true;
+    if (g == own) at = i;
+  }
+  Taint& slot = slots_[at];
   if (slot.begin == 0) count_++;
   slot = Taint{begin, now, src, false};
 }

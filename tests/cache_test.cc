@@ -1,99 +1,14 @@
-// Unit tests for the skiplist and the index cache (§4.2.3).
+// Unit tests for the index cache (§4.2.3).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <vector>
 
 #include "cache/index_cache.h"
-#include "cache/skiplist.h"
 #include "util/random.h"
 
 namespace sherman {
 namespace {
-
-// --- SkipList ---
-
-TEST(SkipListTest, InsertFindErase) {
-  SkipList<int> sl;
-  EXPECT_TRUE(sl.empty());
-  sl.Insert(10, 100);
-  sl.Insert(20, 200);
-  sl.Insert(5, 50);
-  EXPECT_EQ(sl.size(), 3u);
-  ASSERT_NE(sl.Find(10), nullptr);
-  EXPECT_EQ(*sl.Find(10), 100);
-  EXPECT_EQ(sl.Find(11), nullptr);
-  EXPECT_TRUE(sl.Erase(10));
-  EXPECT_FALSE(sl.Erase(10));
-  EXPECT_EQ(sl.size(), 2u);
-}
-
-TEST(SkipListTest, InsertOverwrites) {
-  SkipList<int> sl;
-  sl.Insert(7, 1);
-  sl.Insert(7, 2);
-  EXPECT_EQ(sl.size(), 1u);
-  EXPECT_EQ(*sl.Find(7), 2);
-}
-
-TEST(SkipListTest, FindLessOrEqual) {
-  SkipList<int> sl;
-  sl.Insert(10, 1);
-  sl.Insert(20, 2);
-  sl.Insert(30, 3);
-  uint64_t found = 0;
-  EXPECT_EQ(sl.FindLessOrEqual(5, &found), nullptr);
-  ASSERT_NE(sl.FindLessOrEqual(10, &found), nullptr);
-  EXPECT_EQ(found, 10u);
-  ASSERT_NE(sl.FindLessOrEqual(25, &found), nullptr);
-  EXPECT_EQ(found, 20u);
-  ASSERT_NE(sl.FindLessOrEqual(1000, &found), nullptr);
-  EXPECT_EQ(found, 30u);
-}
-
-TEST(SkipListTest, IterationIsOrdered) {
-  SkipList<int> sl;
-  Random rng(11);
-  std::map<uint64_t, int> reference;
-  for (int i = 0; i < 1000; i++) {
-    const uint64_t k = rng.Uniform(10'000);
-    sl.Insert(k, i);
-    reference[k] = i;
-  }
-  std::vector<uint64_t> keys;
-  sl.ForEach([&](uint64_t k, const int&) { keys.push_back(k); });
-  EXPECT_EQ(keys.size(), reference.size());
-  auto it = reference.begin();
-  for (size_t i = 0; i < keys.size(); i++, ++it) {
-    EXPECT_EQ(keys[i], it->first);
-  }
-}
-
-TEST(SkipListTest, RandomizedAgainstStdMap) {
-  SkipList<int> sl;
-  std::map<uint64_t, int> reference;
-  Random rng(13);
-  for (int i = 0; i < 20'000; i++) {
-    const uint64_t k = rng.Uniform(500);
-    const int action = static_cast<int>(rng.Uniform(3));
-    if (action == 0) {
-      sl.Insert(k, i);
-      reference[k] = i;
-    } else if (action == 1) {
-      EXPECT_EQ(sl.Erase(k), reference.erase(k) > 0);
-    } else {
-      int* v = sl.Find(k);
-      auto it = reference.find(k);
-      if (it == reference.end()) {
-        EXPECT_EQ(v, nullptr);
-      } else {
-        ASSERT_NE(v, nullptr);
-        EXPECT_EQ(*v, it->second);
-      }
-    }
-  }
-  EXPECT_EQ(sl.size(), reference.size());
-}
 
 // --- IndexCache ---
 
@@ -281,6 +196,96 @@ TEST(IndexCacheTest, HitRatioAccounting) {
   cache.LookupLevel1(50);   // hit
   cache.LookupLevel1(500);  // miss
   EXPECT_DOUBLE_EQ(cache.stats().HitRatio(), 0.5);
+}
+
+// Differential test against a std::map model of the type-① semantics:
+// entries are keyed by lo fence, and a lookup hits the entry with the
+// greatest lo <= key if its [lo, hi) covers the key. Intervals overlap
+// on purpose (stale entries do in a live cache). The capacity exceeds the
+// working set, so nothing is evicted and the model stays exact.
+TEST(IndexCacheTest, RandomizedAgainstStdMapModel) {
+  IndexCache cache(1 << 20, 1024, 3);  // room for 1024 level-1 nodes
+  std::map<Key, ParsedInternal> model;
+  auto covering = [&](Key key) -> const ParsedInternal* {
+    auto it = model.upper_bound(key);
+    if (it == model.begin()) return nullptr;
+    --it;
+    return key < it->second.hi ? &it->second : nullptr;
+  };
+  Random rng(17);
+  for (int i = 0; i < 50'000; i++) {
+    const Key key = rng.Uniform(1'000);  // <= 1000 distinct lo fences
+    const uint64_t action = rng.Uniform(10);
+    if (action < 4) {
+      const Key lo = key;
+      const Key hi = lo + 1 + rng.Uniform(40);
+      ParsedInternal n = MakeNode(1, lo, hi, rng.Uniform(1'000'000));
+      for (uint64_t c = rng.Uniform(4); c > 0; c--) {  // varied fan-out
+        if (hi - c > n.entries.back().first) {
+          n.entries.emplace_back(hi - c, rdma::GlobalAddress(1, c * 64));
+        }
+      }
+      cache.Insert(n);
+      model[lo] = n;
+    } else if (action < 8) {
+      const ParsedInternal* want = covering(key);
+      const ParsedInternal* got = cache.LookupLevel1(key);
+      ASSERT_EQ(got != nullptr, want != nullptr) << "key " << key;
+      if (got != nullptr) {
+        EXPECT_EQ(got->lo, want->lo);
+        EXPECT_EQ(got->hi, want->hi);
+        EXPECT_EQ(got->self, want->self);
+        EXPECT_EQ(got->entries, want->entries);
+        EXPECT_EQ(got->ChildFor(key), want->ChildFor(key));
+      }
+    } else if (action == 8) {
+      const ParsedInternal* want = covering(key);
+      const rdma::GlobalAddress addr =
+          (want != nullptr && rng.Uniform(2) == 0) ? want->self
+                                                   : rdma::GlobalAddress(7, 7);
+      if (want != nullptr && want->self == addr) model.erase(want->lo);
+      cache.Invalidate(key, addr);
+    } else if (rng.Uniform(8) == 0) {
+      const Key hi = key + rng.Uniform(30);
+      for (auto it = model.begin(); it != model.end();) {
+        it = (it->second.lo < hi && it->second.hi > key) ? model.erase(it)
+                                                         : std::next(it);
+      }
+      cache.InvalidateKeyRange(key, hi);
+    } else {
+      const ParsedInternal* want = covering(key);
+      if (want != nullptr) model.erase(want->lo);
+      cache.InvalidateLevel1Covering(key);
+    }
+    ASSERT_EQ(cache.level1_nodes(), model.size()) << "op " << i;
+  }
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.bytes_used(), model.size() * 1024);
+}
+
+// Pins the power-of-two-choices victims: with a fixed seed the survivor
+// set after overflowing the capacity is fully determined by the sampling
+// pool's order (push on insert, swap-remove on removal) and the two
+// Uniform draws per eviction. A change to either changes what the
+// simulated clients cache, so it must show here.
+TEST(IndexCacheTest, EvictionSequenceIsPinned) {
+  constexpr uint64_t kCapacityNodes = 16;
+  constexpr uint64_t kInserts = 120;
+  IndexCache cache(kCapacityNodes * 1024, 1024, 42);
+  Random rng(5);
+  for (uint64_t i = 0; i < kInserts; i++) {
+    cache.Insert(MakeNode(1, i * 100, (i + 1) * 100, i));
+    for (int j = 0; j < 3; j++) cache.LookupLevel1(rng.Uniform(i + 1) * 100);
+    if (i % 10 == 9) cache.InvalidateLevel1Covering(rng.Uniform(i + 1) * 100);
+  }
+  std::vector<uint64_t> survivors;
+  for (uint64_t i = 0; i < kInserts; i++) {
+    if (cache.LookupLevel1(i * 100) != nullptr) survivors.push_back(i);
+  }
+  EXPECT_EQ(survivors,
+            (std::vector<uint64_t>{94, 99, 102, 103, 105, 106, 108, 111, 112,
+                                   113, 114, 116, 117, 118, 119}));
+  EXPECT_EQ(cache.level1_nodes(), survivors.size());
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Unit and property tests for the hierarchical on-chip lock (HOCL, §4.3).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "lock/hocl.h"
+#include "lock/local_lock_table.h"
 #include "lock/lock_table.h"
 #include "rdma/fabric.h"
 #include "sim/task.h"
@@ -231,27 +233,63 @@ TEST(HoclTest, HandoverDisabledMeansNoHandovers) {
   EXPECT_EQ(hocl.handovers(), 0u);
 }
 
+// Parked waiters wake in arrival order, whether each release hands the
+// global lock over (bounded by max_handover_depth = 4) or gives it back.
 TEST(HoclTest, WaitQueueIsFifoWithinCs) {
-  rdma::Fabric fabric(SmallConfig(1, 1));
-  HoclOptions opt;
-  opt.handover = false;  // isolate queue ordering
-  HoclClient hocl(&fabric, 0, opt);
-  const rdma::GlobalAddress node(0, 6 << 20);
+  for (const bool handover : {false, true}) {
+    rdma::Fabric fabric(SmallConfig(1, 1));
+    HoclOptions opt;
+    opt.handover = handover;
+    HoclClient hocl(&fabric, 0, opt);
+    const rdma::GlobalAddress node(0, 6 << 20);
 
-  std::vector<int> order;
-  for (int t = 0; t < 6; t++) {
-    sim::Spawn([](rdma::Fabric* f, HoclClient* h, rdma::GlobalAddress addr,
-                  std::vector<int>* ord, int id) -> sim::Task<void> {
-      // Stagger arrival so the queue order is well-defined.
-      co_await f->simulator().Delay(static_cast<sim::SimTime>(id) * 10);
-      LockGuard g = co_await h->Lock(addr, nullptr);
-      ord->push_back(id);
-      co_await f->simulator().Delay(3000);
-      co_await h->Unlock(g, {}, true, nullptr);
-    }(&fabric, &hocl, node, &order, t));
+    std::vector<int> order;
+    for (int t = 0; t < 6; t++) {
+      sim::Spawn([](rdma::Fabric* f, HoclClient* h, rdma::GlobalAddress addr,
+                    std::vector<int>* ord, int id) -> sim::Task<void> {
+        // Stagger arrival so the queue order is well-defined.
+        co_await f->simulator().Delay(static_cast<sim::SimTime>(id) * 10);
+        LockGuard g = co_await h->Lock(addr, nullptr);
+        ord->push_back(id);
+        co_await f->simulator().Delay(3000);
+        co_await h->Unlock(g, {}, true, nullptr);
+      }(&fabric, &hocl, node, &order, t));
+    }
+    fabric.simulator().Run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}))
+        << "handover=" << handover;
+    EXPECT_EQ(hocl.handovers(), handover ? 4u : 0u);
   }
-  fabric.simulator().Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+// A waiter still parked when its table is destroyed belongs to a dead
+// client. The destructor walks the intrusive queue and buries each parked
+// frame (never resumed, never destroyed); under ASan a walk through a
+// stale link, or a frame left unreachable, fails here.
+TEST(LocalLockTableTest, DestructionBuriesParkedWaiters) {
+  auto llt = std::make_unique<LocalLockTable>();
+  LocalLockTable::LocalLock& lock = llt->Get(0, 42);
+  lock.held = true;  // the holder froze and will never release
+  std::vector<LocalLockTable::Waiter*> parked;
+  int woken = 0;
+  for (int i = 0; i < 3; i++) {
+    sim::Spawn([](LocalLockTable::LocalLock* l,
+                  std::vector<LocalLockTable::Waiter*>* out,
+                  int* woke) -> sim::Task<void> {
+      LocalLockTable::Waiter waiter;
+      l->wait_queue.push_back(&waiter);
+      out->push_back(&waiter);
+      co_await waiter.signal;
+      (*woke)++;
+    }(&lock, &parked, &woken));
+  }
+  ASSERT_EQ(parked.size(), 3u);
+  EXPECT_EQ(lock.wait_queue.front(), parked[0]);
+  llt.reset();
+  // The frames outlive the table; their signals no longer hold a waiter,
+  // so firing them resumes nothing.
+  for (LocalLockTable::Waiter* w : parked) w->signal.Fire();
+  EXPECT_EQ(woken, 0);
 }
 
 TEST(HoclTest, HierarchicalReducesRemoteCasUnderLocalContention) {

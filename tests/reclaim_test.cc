@@ -80,6 +80,90 @@ TEST(ReclaimEpochTest, EpochAdvancesAsCohortsDrain) {
   EXPECT_GT(epoch.current(), e1);
 }
 
+// The epoch only advances when every remaining pin is at the current
+// epoch, so at most two epochs hold pins at once. Exits of the newer
+// cohort can drain it to a zero count behind a still-pinned older cohort;
+// that hole must not move MinActive, and a later Enter at the same epoch
+// refills it.
+TEST(ReclaimEpochTest, OutOfOrderExitsLeaveHolesBehindOldestCohort) {
+  ReclaimEpoch epoch;
+  const uint64_t a = epoch.Enter(0);
+  const uint64_t b = epoch.Enter(1);
+  EXPECT_EQ(a, 1u);
+  epoch.Exit(b, 1);  // all remaining pins are at the current epoch
+  EXPECT_EQ(epoch.current(), 2u);
+  EXPECT_EQ(epoch.MinActive(), 1u);
+
+  const uint64_t c = epoch.Enter(0);
+  const uint64_t d = epoch.Enter(1);
+  EXPECT_EQ(c, 2u);
+  epoch.Exit(d, 1);
+  epoch.Exit(c, 0);  // epoch 2 drained: a zero count behind epoch 1
+  EXPECT_EQ(epoch.MinActive(), 1u);
+  EXPECT_EQ(epoch.current(), 2u);
+  EXPECT_EQ(epoch.pinned_ops(), 1u);
+  EXPECT_EQ(epoch.ActivePins(0), 1u);
+  EXPECT_EQ(epoch.ActivePins(1), 0u);
+
+  const uint64_t e = epoch.Enter(1);  // refills the hole
+  EXPECT_EQ(e, 2u);
+  EXPECT_FALSE(epoch.SafeToRecycle(1));
+  epoch.Exit(a, 0);  // the oldest cohort drains: MinActive moves up
+  EXPECT_EQ(epoch.MinActive(), 2u);
+  EXPECT_EQ(epoch.current(), 3u);
+  EXPECT_TRUE(epoch.SafeToRecycle(1));
+  EXPECT_FALSE(epoch.SafeToRecycle(2));
+
+  epoch.Exit(e, 1);
+  EXPECT_EQ(epoch.pinned_ops(), 0u);
+  EXPECT_EQ(epoch.MinActive(), epoch.current());
+  EXPECT_TRUE(epoch.SafeToRecycle(3));
+}
+
+// MarkDead on a client that has already exited some of its pins releases
+// exactly the pins it still holds, at every epoch, and leaves the other
+// clients' pins (and their per-CS accounting) alone.
+TEST(ReclaimEpochTest, MarkDeadReleasesExactlyTheDeadClientsPins) {
+  ReclaimEpoch epoch;
+  const uint64_t x1 = epoch.Enter(0);
+  const uint64_t x2 = epoch.Enter(0);
+  const uint64_t y1 = epoch.Enter(1);
+  epoch.Exit(y1, 1);  // advances to epoch 2
+  const uint64_t x3 = epoch.Enter(0);
+  const uint64_t y2 = epoch.Enter(1);
+  const uint64_t y3 = epoch.Enter(1);
+  EXPECT_EQ(x1, 1u);
+  EXPECT_EQ(x3, 2u);
+  epoch.Exit(x2, 0);  // partly drained: cs 0 holds one pin at each epoch
+  EXPECT_EQ(epoch.ActivePins(0), 2u);
+  EXPECT_EQ(epoch.ActivePins(1), 2u);
+  EXPECT_EQ(epoch.ActivePins(7), 0u);  // never seen
+  EXPECT_EQ(epoch.pinned_ops(), 4u);
+  EXPECT_EQ(epoch.MinActive(), 1u);
+
+  epoch.MarkDead(0);
+  EXPECT_TRUE(epoch.IsDead(0));
+  EXPECT_FALSE(epoch.IsDead(1));
+  EXPECT_EQ(epoch.ActivePins(0), 0u);
+  EXPECT_EQ(epoch.ActivePins(1), 2u);
+  EXPECT_EQ(epoch.pinned_ops(), 2u);
+  EXPECT_EQ(epoch.MinActive(), 2u);  // epoch 1 was held only by cs 0
+  EXPECT_EQ(epoch.current(), 3u);
+
+  // The dead client's late unwinding and new ops pin nothing.
+  epoch.Exit(x1, 0);
+  epoch.Exit(x3, 0);
+  epoch.Exit(epoch.Enter(0), 0);
+  EXPECT_EQ(epoch.pinned_ops(), 2u);
+  epoch.MarkDead(0);  // idempotent
+  EXPECT_EQ(epoch.pinned_ops(), 2u);
+
+  epoch.Exit(y2, 1);
+  epoch.Exit(y3, 1);
+  EXPECT_EQ(epoch.pinned_ops(), 0u);
+  EXPECT_EQ(epoch.ActivePins(1), 0u);
+}
+
 TEST(ReclaimEpochTest, NoGraceDomainMeansImmediateRecycle) {
   rdma::Fabric fabric(SmallFabric(1, 1));
   ChunkManager mgr(&fabric.ms(0));  // no domain (unit-test config)
