@@ -1,16 +1,23 @@
 // google-benchmark microbenchmarks for the hot in-process paths: node
 // search/scan, entry writes, Zipfian generation, CRC32, histogram inserts,
-// index-cache probes and refills. These are host-CPU costs (not simulated
-// time) and back the cpu_*_ns constants in rdma/config.h.
+// index-cache probes and refills, and the varlen bulk loader. These are
+// host-CPU costs (not simulated time); most back the cpu_*_ns constants in
+// rdma/config.h.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/index_cache.h"
+#include "core/btree.h"
 #include "core/node_layout.h"
 #include "util/crc32.h"
 #include "util/histogram.h"
 #include "util/random.h"
+#include "workload/workload.h"
 
 namespace sherman {
 namespace {
@@ -166,6 +173,45 @@ void BM_IndexCacheInsertEvict(benchmark::State& state) {
   benchmark::DoNotOptimize(cache.stats().evictions);
 }
 BENCHMARK(BM_IndexCacheInsertEvict)->Arg(128)->Arg(4096);
+
+// BulkLoadVar over range(0) sorted string records of 16-40 B with 8-byte
+// values (perfbench varlen-mixed's load set), into 1 KB slotted leaves at
+// fill 0.8. System construction and teardown are not timed.
+void BM_BulkLoadVar(benchmark::State& state) {
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (int64_t rank = 0; rank < state.range(0); rank++) {
+    std::string k = WorkloadGenerator::StringKeyFor(
+        WorkloadGenerator::LoadedKeyFor(static_cast<uint64_t>(rank)), 16, 40);
+    std::string v = "L" + k.substr(0, 7);
+    kvs.emplace_back(std::move(k), std::move(v));
+  }
+  std::sort(kvs.begin(), kvs.end());
+  kvs.erase(std::unique(kvs.begin(), kvs.end(),
+                        [](const auto& a, const auto& b) {
+                          return a.first == b.first;
+                        }),
+            kvs.end());
+  rdma::FabricConfig fabric;
+  fabric.num_memory_servers = 2;
+  fabric.num_compute_servers = 1;
+  fabric.ms_memory_bytes = 64ull << 20;
+  TreeOptions tree;
+  tree.two_level_versions = false;  // varlen needs sorted leaves
+  tree.shape.varlen = true;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto system = std::make_unique<ShermanSystem>(fabric, tree);
+    state.ResumeTiming();
+    system->BulkLoadVar(kvs, 0.8);
+    benchmark::DoNotOptimize(system->DebugRootAddr());
+    state.PauseTiming();
+    system.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kvs.size()));
+}
+BENCHMARK(BM_BulkLoadVar)->Arg(500'000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sherman

@@ -4,36 +4,45 @@ request, so its overhead on a bench smoke must stay under 10% (plus a
 small absolute slack so sub-second runs don't gate on timer noise).
 
 The bench reports contain no wall-clock field (simulated time only), so
-this script times the subprocess itself: min of N runs each way, which
-discards scheduler noise rather than averaging it in. The two arms run
-interleaved (base, DMSan, base, DMSan, ...), so a burst of load from
-other processes on the host lands on both arms rather than on one block
-of runs. Every run of both arms is printed, so a red gate shows its
-spread.
+this script times the subprocess itself, in CPU seconds (user + system,
+from getrusage(RUSAGE_CHILDREN) deltas) rather than wall time: a
+single-threaded bench's CPU time does not grow when other processes
+compete for the host's cores, where its wall time does. It keeps the min
+of N runs each way, which discards the remaining noise rather than
+averaging it in. The two arms run interleaved (base, DMSan, base, DMSan,
+...), so a burst of load lands on both arms rather than on one block of
+runs. Every run of both arms is printed, so a red gate shows its spread.
 
 Usage: check_dmsan_overhead.py [bench_binary] [args...]
 Defaults to the CI bench_pipeline smoke. Exit 0 = within budget.
 """
 
 import os
+import resource
 import subprocess
 import sys
-import time
 
 RUNS = 3
 MAX_RELATIVE = 0.10   # DMSan may cost at most 10%...
 SLACK_SECONDS = 0.25  # ...plus this much absolute timer-noise slack
 
 
+def child_cpu_seconds():
+    """User + system CPU seconds of all waited-for children so far."""
+    ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return ru.ru_utime + ru.ru_stime
+
+
 def time_once(cmd, env):
-    t0 = time.monotonic()
+    """Runs cmd once; returns the CPU seconds it used."""
+    t0 = child_cpu_seconds()
     r = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
                        stderr=subprocess.STDOUT)
-    elapsed = time.monotonic() - t0
+    used = child_cpu_seconds() - t0
     if r.returncode != 0:
         print(f"FAIL: {' '.join(cmd)} exited {r.returncode}", file=sys.stderr)
         sys.exit(1)
-    return elapsed
+    return used
 
 
 def arm_env(dmsan):
@@ -68,10 +77,11 @@ def main():
     with_dmsan = min(dmsan_runs)
     budget = base * (1.0 + MAX_RELATIVE) + SLACK_SECONDS
     pct = 100.0 * (with_dmsan - base) / base if base > 0 else 0.0
-    print(f"baseline     : {base:.3f}s  (min of {RUNS}: {fmt_runs(base_runs)})")
-    print(f"with DMSan   : {with_dmsan:.3f}s  ({pct:+.1f}%; "
+    print(f"baseline     : {base:.3f} CPU s  "
+          f"(min of {RUNS}: {fmt_runs(base_runs)})")
+    print(f"with DMSan   : {with_dmsan:.3f} CPU s  ({pct:+.1f}%; "
           f"min of {RUNS}: {fmt_runs(dmsan_runs)})")
-    print(f"budget       : {budget:.3f}s  "
+    print(f"budget       : {budget:.3f} CPU s  "
           f"(+{int(MAX_RELATIVE * 100)}% and {SLACK_SECONDS}s slack)")
     if with_dmsan > budget:
         print("FAIL: DMSan overhead exceeds budget", file=sys.stderr)

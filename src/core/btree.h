@@ -28,6 +28,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -573,8 +576,8 @@ class TreeClient {
                                     uint32_t used, uint64_t* relocated,
                                     OpStats* stats);
   // Bounded key -> (vlog ptr, vlen) map behind the swizzle fast path.
-  void RememberVptr(const std::string& key, uint64_t ptr, uint16_t vlen);
-  void ForgetVptr(const std::string& key);
+  void RememberVptr(const Slice& key, uint64_t ptr, uint16_t vlen);
+  void ForgetVptr(const Slice& key);
 
   // --- leaf-hint sidecar (cache/leaf_hints.cc) ---
 
@@ -618,7 +621,16 @@ class TreeClient {
     uint64_t ptr = 0;
     uint16_t vlen = 0;
   };
-  std::map<std::string, VptrHint> vptr_cache_;
+  // Transparent hash: probes hash the caller's key bytes in place, so only
+  // remembering a new key copies it.
+  struct VptrKeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view k) const {
+      return std::hash<std::string_view>{}(k);
+    }
+  };
+  std::unordered_map<std::string, VptrHint, VptrKeyHash, std::equal_to<>>
+      vptr_cache_;
 
   // Leaf-hint mirror (enable_leaf_hints mode): merged lo fence -> leaf
   // address across every MS table, plus the per-MS generation observed at

@@ -11,9 +11,10 @@
 // Routing is unchanged u64 B-link traversal on RoutingKeyFor(key): keys
 // sharing a routing key always share a leaf, so internal nodes, fences,
 // the index cache, and the recoverer never see a byte string.
-#include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,13 +29,6 @@ namespace {
 // re-validated against the leaf on every use, so losing them only costs
 // the second round trip they would have saved).
 constexpr size_t kVptrCacheCap = 4096;
-
-uint32_t LcpLen(const std::string& a, const std::string& b) {
-  const size_t n = std::min(a.size(), b.size());
-  size_t i = 0;
-  while (i < n && a[i] == b[i]) i++;
-  return static_cast<uint32_t>(std::min<size_t>(i, 255));
-}
 }  // namespace
 
 Status TreeClient::CheckVarKey(const Slice& key, Key* rk) const {
@@ -53,16 +47,22 @@ Status TreeClient::CheckVarKey(const Slice& key, Key* rk) const {
   return Status::OK();
 }
 
-void TreeClient::RememberVptr(const std::string& key, uint64_t ptr,
+void TreeClient::RememberVptr(const Slice& key, uint64_t ptr,
                               uint16_t vlen) {
-  if (vptr_cache_.size() >= kVptrCacheCap &&
-      vptr_cache_.find(key) == vptr_cache_.end()) {
-    vptr_cache_.clear();
+  const std::string_view k(key.data(), key.size());
+  auto it = vptr_cache_.find(k);
+  if (it != vptr_cache_.end()) {
+    it->second = VptrHint{ptr, vlen};
+    return;
   }
-  vptr_cache_[key] = VptrHint{ptr, vlen};
+  if (vptr_cache_.size() >= kVptrCacheCap) vptr_cache_.clear();
+  vptr_cache_.emplace(k, VptrHint{ptr, vlen});
 }
 
-void TreeClient::ForgetVptr(const std::string& key) { vptr_cache_.erase(key); }
+void TreeClient::ForgetVptr(const Slice& key) {
+  auto it = vptr_cache_.find(std::string_view(key.data(), key.size()));
+  if (it != vptr_cache_.end()) vptr_cache_.erase(it);
+}
 
 // --- InsertVar --------------------------------------------------------------
 
@@ -140,11 +140,10 @@ sim::Task<Status> TreeClient::InsertVar(const Slice& key, const Slice& value,
     co_return st;
   }
   if (old_ptr != 0) co_await vlog_->Retire(old_ptr, stats);
-  const std::string key_str(key.data(), key.size());
   if (outline) {
-    RememberVptr(key_str, vptr, static_cast<uint16_t>(value.size()));
+    RememberVptr(key, vptr, static_cast<uint16_t>(value.size()));
   } else {
-    ForgetVptr(key_str);
+    ForgetVptr(key);
   }
   co_return Status::OK();
 }
@@ -158,32 +157,25 @@ sim::Task<Status> TreeClient::SplitVarLeafAndUnlock(
   NodeView view(buf.data(), &o.shape);
   co_await system_->fabric_.simulator().Delay(f.cpu_node_sort_ns);
 
-  // Materialize the live entries and apply the pending insert (replace or
-  // sorted insert) — mirrors the fixed split's collect step.
-  std::vector<VarEntry> entries = ExtractVarEntries(view);
-  VarEntry pending;
-  pending.key.assign(key.data(), key.size());
-  pending.outline = vptr != 0;
-  if (pending.outline) {
-    pending.payload.resize(8);
-    std::memcpy(pending.payload.data(), &vptr, 8);
+  // The live entries plus the pending insert (replace or sorted insert) —
+  // mirrors the fixed split's collect step. Both halves are rewritten
+  // below, so the entries are read from a copy of the page.
+  std::vector<uint8_t> page(buf);
+  const NodeView old(page.data(), &o.shape);
+  std::vector<VarSpan> entries;
+  entries.reserve(old.count() + 1);
+  AppendVarSpans(old, &entries);
+  uint8_t ptr_buf[8];
+  std::memcpy(ptr_buf, &vptr, 8);
+  const VarSpan pending{
+      Slice(), key,
+      vptr != 0 ? Slice(reinterpret_cast<const char*>(ptr_buf), 8) : value,
+      static_cast<uint16_t>(value.size()), vptr != 0};
+  const uint32_t at = old.VarLowerBound(key);
+  if (at < old.count() && old.VarKeyIs(at, key)) {
+    entries[at] = pending;
   } else {
-    pending.payload.assign(value.data(), value.data() + value.size());
-  }
-  pending.vlen = static_cast<uint16_t>(value.size());
-  bool replaced = false;
-  for (auto& e : entries) {
-    if (e.key == pending.key) {
-      e = pending;
-      replaced = true;
-      break;
-    }
-  }
-  if (!replaced) {
-    auto it = std::lower_bound(
-        entries.begin(), entries.end(), pending,
-        [](const VarEntry& a, const VarEntry& b) { return a.key < b.key; });
-    entries.insert(it, std::move(pending));
+    entries.insert(entries.begin() + at, pending);
   }
 
   // Pick the cut: only a ROUTING-KEY boundary is legal (the u64 fences
@@ -194,18 +186,19 @@ sim::Task<Status> TreeClient::SplitVarLeafAndUnlock(
   const size_t n = entries.size();
   std::vector<uint64_t> raw(n + 1, 0);  // cumulative key+payload bytes
   for (size_t i = 0; i < n; i++) {
-    raw[i + 1] =
-        raw[i] + entries[i].key.size() + entries[i].payload.size();
+    raw[i + 1] = raw[i] + entries[i].key_size() + entries[i].payload.size();
   }
   const uint64_t budget = o.shape.var_usable_bytes();
   size_t cut = 0;
   uint64_t best = UINT64_MAX;
+  Key rk_prev = VarSpanRoutingKey(entries[0]);
   for (size_t i = 1; i < n; i++) {
-    if (RoutingKeyFor(entries[i].key) == RoutingKeyFor(entries[i - 1].key)) {
-      continue;
-    }
-    const uint64_t pl = LcpLen(entries[0].key, entries[i - 1].key);
-    const uint64_t pr = LcpLen(entries[i].key, entries[n - 1].key);
+    const Key rk_i = VarSpanRoutingKey(entries[i]);
+    const bool boundary = rk_i != rk_prev;
+    rk_prev = rk_i;
+    if (!boundary) continue;
+    const uint64_t pl = VarKeyLcp(entries[0], entries[i - 1]);
+    const uint64_t pr = VarKeyLcp(entries[i], entries[n - 1]);
     const uint64_t left =
         i * kVarSlotSize + (raw[i] - i * pl) + pl;
     const uint64_t right =
@@ -228,16 +221,17 @@ sim::Task<Status> TreeClient::SplitVarLeafAndUnlock(
   }
 
   // Upper part -> the new right node, lower part stays here.
-  const Key split_key = RoutingKeyFor(entries[cut].key);
+  const std::span<const VarSpan> all(entries);
+  const Key split_key = VarSpanRoutingKey(entries[cut]);
   std::vector<uint8_t> right_buf(node_size());
   NodeView right(right_buf.data(), &o.shape);
   right.InitLeaf(split_key, view.hi_fence(), view.sibling());
-  SHERMAN_CHECK(BuildVarLeaf(
-      &right, std::vector<VarEntry>(entries.begin() + cut, entries.end())));
+  SHERMAN_CHECK(WriteVarLeaf(&right, all.subspan(cut),
+                             VarKeyLcp(entries[cut], entries[n - 1])));
   const uint8_t old_version = view.front_version();
   view.InitLeaf(view.lo_fence(), split_key, rdma::kNullAddress);
-  entries.resize(cut);
-  SHERMAN_CHECK(BuildVarLeaf(&view, entries));
+  SHERMAN_CHECK(WriteVarLeaf(&view, all.first(cut),
+                             VarKeyLcp(entries[0], entries[cut - 1])));
   co_return co_await CommitSplitAndUnlock(locked, buf.data(), right_buf.data(),
                                           old_version, stats);
 }
@@ -256,7 +250,7 @@ sim::Task<Status> TreeClient::ResolveVarValue(const NodeView& view, uint32_t i,
   const uint64_t ptr = view.VarVlogPtr(i);
   const uint16_t vlen = view.VarVlen(i);
   Status st = co_await vlog_->Read(ptr, key, vlen, value, stats);
-  if (st.ok()) RememberVptr(std::string(key.data(), key.size()), ptr, vlen);
+  if (st.ok()) RememberVptr(key, ptr, vlen);
   co_return st;
 }
 
@@ -269,7 +263,7 @@ sim::Task<Status> TreeClient::LookupVar(const Slice& key, std::string* value,
   const rdma::FabricConfig& f = system_->fabric_.config();
   EpochPin pin(&system_->reclaim_, cs_id_);
   co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
-  const std::string key_str(key.data(), key.size());
+  const std::string_view hint_key(key.data(), key.size());
 
   std::vector<uint8_t> buf(node_size());
 
@@ -279,14 +273,18 @@ sim::Task<Status> TreeClient::LookupVar(const Slice& key, std::string* value,
   // leaf validates the speculation — collapsing the two dependent round
   // trips of an out-of-line read into one. The EpochPin makes the
   // speculative extent READ safe even against a concurrent retire.
-  auto hint_it = vptr_cache_.find(key_str);
-  if (o.enable_cache && hint_it != vptr_cache_.end()) {
+  if (o.enable_cache && vptr_cache_.contains(hint_key)) {
     co_await system_->fabric_.simulator().Delay(f.cpu_cache_lookup_ns);
     const ParsedInternal* p = cache_.LookupLevel1(rk);
-    const VptrHint hint = hint_it->second;
+    // Read the hint after the delay: other ops of this client may have
+    // updated or dropped it meanwhile.
+    auto hint_it = vptr_cache_.find(hint_key);
+    const bool hinted = hint_it != vptr_cache_.end();
+    const VptrHint hint = hinted ? hint_it->second : VptrHint{};
     const uint32_t rec_len = vlog::kRecordHeader +
                              static_cast<uint32_t>(key.size()) + hint.vlen;
-    if (p != nullptr && rec_len <= vlog::VlogPtr::ExtentBytes(hint.ptr)) {
+    if (p != nullptr && hinted &&
+        rec_len <= vlog::VlogPtr::ExtentBytes(hint.ptr)) {
       const rdma::GlobalAddress leaf_addr = p->ChildFor(rk);
       const rdma::GlobalAddress vaddr = vlog::VlogPtr::Addr(hint.ptr);
       std::vector<uint8_t> vbuf(rec_len);
@@ -313,11 +311,11 @@ sim::Task<Status> TreeClient::LookupVar(const Slice& key, std::string* value,
         co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
         const uint32_t at = view.VarFind(key);
         if (at == UINT32_MAX) {
-          ForgetVptr(key_str);
+          ForgetVptr(key);
           co_return Status::NotFound();
         }
         if (!view.VarOutline(at)) {
-          ForgetVptr(key_str);
+          ForgetVptr(key);
           const Slice v = view.VarInlineValue(at);
           value->assign(v.data(), v.size());
           co_return Status::OK();
@@ -341,7 +339,7 @@ sim::Task<Status> TreeClient::LookupVar(const Slice& key, std::string* value,
         }
         // Pointer moved since the hint (update or GC relocation): the
         // fetched leaf is valid, so resolve from it.
-        ForgetVptr(key_str);
+        ForgetVptr(key);
         st = co_await ResolveVarValue(view, at, key, value, stats);
         if (!st.IsCorruption()) co_return st;
         // Relocated between leaf and value read; take the slow loop.
@@ -393,7 +391,7 @@ sim::Task<Status> TreeClient::DeleteVar(const Slice& key, OpStats* stats) {
                               /*deletes=*/true);
   // Retire only after the delete (or merge) published: readers that
   // fetched the old leaf meanwhile finish under their epoch pin.
-  ForgetVptr(std::string(key.data(), key.size()));
+  ForgetVptr(key);
   if (old_ptr != 0) co_await vlog_->Retire(old_ptr, stats);
   co_return Status::OK();
 }
@@ -415,18 +413,21 @@ sim::Task<Status> TreeClient::ScanVar(
   co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
 
   std::vector<uint8_t> buf(node_size());
-  // Byte cursor: the smallest key not yet emitted. Emitted keys never
-  // repeat across restarts (strictly-greater filter once anything was
-  // emitted), mirroring RangeQuery's cursor discipline.
-  std::string cursor(from.data(), from.size());
-  bool cursor_inclusive = true;
+  // Byte cursor: the start key until a row is emitted, then the last
+  // emitted key (exclusive), so emitted keys never repeat across leaves,
+  // re-reads and restarts — RangeQuery's cursor discipline. It is read at
+  // those boundaries only; rows inside a leaf follow in slot order.
+  const std::string start(from.data(), from.size());
+  auto cursor = [&start, out]() {
+    return out->empty() ? Slice(start) : Slice(out->back().first);
+  };
   rdma::GlobalAddress probe_addr;
   for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
     if (!probe_addr.is_null() && attempt > 0 && (attempt & 7) == 0) {
       co_await ProbeLockForRecovery(probe_addr, stats);
       probe_addr = rdma::GlobalAddress();
     }
-    Key rk = RoutingKeyFor(cursor);
+    Key rk = RoutingKeyFor(cursor());
     if (rk == kMaxKey) co_return Status::OK();  // nothing can sort >= cursor
     StatusOr<LeafRef> leaf_r =
         co_await FindLeafAddr(rk, stats, /*allow_hint=*/attempt == 0);
@@ -461,9 +462,11 @@ sim::Task<Status> TreeClient::ScanVar(
       // the leaf, and the advancing cursor skips what was already emitted.
       bool reread = false;
       const uint32_t slots = view.count();
-      for (uint32_t s = 0; s < slots && out->size() < count; s++) {
+      const Slice cur = cursor();
+      uint32_t s = view.VarLowerBound(cur);
+      if (!out->empty() && s < slots && view.VarKeyIs(s, cur)) s++;
+      for (; s < slots && out->size() < count; s++) {
         std::string k = view.VarFullKey(s);
-        if (cursor_inclusive ? k < cursor : k <= cursor) continue;
         std::string v;
         Status rst = co_await ResolveVarValue(view, s, Slice(k), &v, stats);
         if (rst.IsCorruption()) {
@@ -472,8 +475,6 @@ sim::Task<Status> TreeClient::ScanVar(
         }
         if (!rst.ok()) co_return rst;
         out->emplace_back(std::move(k), std::move(v));
-        cursor = out->back().first;
-        cursor_inclusive = false;
       }
       if (reread) {
         if (stats != nullptr) stats->read_retries++;

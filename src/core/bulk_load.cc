@@ -153,76 +153,98 @@ void ShermanSystem::BulkLoadVar(
   SHERMAN_CHECK_MSG(shape.varlen, "BulkLoadVar on a fixed-size tree");
   const bool checksum_mode =
       options_.consistency == TreeOptions::Consistency::kChecksum;
-
-  std::vector<VarEntry> entries;
-  entries.reserve(kvs.size());
-  for (size_t i = 0; i < kvs.size(); i++) {
-    const std::string& k = kvs[i].first;
+  // Entries are written straight from the caller's strings.
+  auto span_of = [&kvs](size_t i) {
     const std::string& v = kvs[i].second;
-    SHERMAN_CHECK_MSG(!k.empty() && k.size() <= shape.max_key_len,
-                      "bulk key length out of range");
-    const Key rk = RoutingKeyFor(k);
-    SHERMAN_CHECK_MSG(rk != kNullKey && rk != kMaxKey,
-                      "bulk key routes to a reserved sentinel");
-    if (i > 0) SHERMAN_CHECK_MSG(kvs[i - 1].first < k,
-                                 "bulk load keys must be sorted and unique");
-    // The offline loader has no value-log appender; longer values go
-    // through InsertVar on a running client.
-    SHERMAN_CHECK_MSG(v.size() <= options_.inline_threshold,
-                      "BulkLoadVar values must be inline-sized");
-    VarEntry e;
-    e.key = k;
-    e.payload.assign(v.begin(), v.end());
-    e.vlen = static_cast<uint16_t>(v.size());
-    e.outline = false;
-    entries.push_back(std::move(e));
-  }
+    return VarSpan{Slice(), Slice(kvs[i].first), Slice(v),
+                   static_cast<uint16_t>(v.size()), /*outline=*/false};
+  };
 
   // Greedy byte-budget packing: leaves close at ~`fill` of the usable
   // byte budget, and a routing-key group (keys sharing the first 8 bytes)
   // never splits across leaves — splits can only cut at routing
-  // boundaries, so neither can the loader.
+  // boundaries, so neither can the loader. One pass over the keys: a
+  // leaf [begin, j) under its maximal prefix p = LCP(key[begin], key[j-1])
+  // needs slots + (key+value bytes - n*p) + p, so each routing group costs
+  // O(1) beyond its keys' LCP.
+  auto leaf_bytes = [&span_of](size_t b, size_t e, uint64_t raw) {
+    const uint64_t n = e - b;
+    const uint64_t p = VarKeyLcp(span_of(b), span_of(e - 1));
+    return n * kVarSlotSize + raw - n * p + p;
+  };
   const uint64_t budget = shape.var_usable_bytes();
   const uint64_t target = std::max<uint64_t>(
       1, static_cast<uint64_t>(static_cast<double>(budget) * fill));
-  std::vector<std::vector<VarEntry>> leaf_groups;
-  std::vector<VarEntry> cur;
-  size_t i = 0;
-  while (i < entries.size()) {
-    size_t j = i;
-    const Key rk = RoutingKeyFor(entries[i].key);
-    while (j < entries.size() && RoutingKeyFor(entries[j].key) == rk) j++;
-    std::vector<VarEntry> cand = cur;
-    cand.insert(cand.end(), entries.begin() + i, entries.begin() + j);
-    const uint64_t need = VarBytesNeeded(cand, VarCommonPrefix(cand));
-    if (!cur.empty() && need > target) {
-      leaf_groups.push_back(std::move(cur));
-      cur.clear();
-      continue;  // retry this routing group against a fresh leaf
+  struct Leaf {
+    size_t begin;
+    Key lo;  // lo fence
+  };
+  std::vector<Leaf> leaves;
+  size_t begin = 0;        // first entry of the open leaf
+  Key begin_lo = 0;        // and its lo fence (its routing key, but 0 first)
+  uint64_t leaf_raw = 0;   // key+value bytes of [begin, i)
+  size_t i = 0;            // first entry of the routing group [i, j)
+  uint64_t group_raw = 0;  // key+value bytes of [i, j)
+  Key rk = 0;              // routing key of the group
+  for (size_t j = 0; j <= kvs.size(); j++) {
+    Key rj = kMaxKey;  // past the end: closes the last group
+    if (j < kvs.size()) {
+      const std::string& k = kvs[j].first;
+      SHERMAN_CHECK_MSG(!k.empty() && k.size() <= shape.max_key_len,
+                        "bulk key length out of range");
+      rj = RoutingKeyFor(k);
+      SHERMAN_CHECK_MSG(rj != kNullKey && rj != kMaxKey,
+                        "bulk key routes to a reserved sentinel");
+      if (j > 0) SHERMAN_CHECK_MSG(kvs[j - 1].first < k,
+                                   "bulk load keys must be sorted and unique");
+      // The offline loader has no value-log appender; longer values go
+      // through InsertVar on a running client.
+      SHERMAN_CHECK_MSG(kvs[j].second.size() <= options_.inline_threshold,
+                        "BulkLoadVar values must be inline-sized");
     }
-    SHERMAN_CHECK_MSG(need <= budget,
-                      "routing-key group exceeds leaf capacity");
-    cur = std::move(cand);
-    i = j;
+    if (j > i && rj != rk) {
+      // The group [i, j) is complete: add it to the open leaf, or close
+      // that leaf and start a fresh one with it.
+      uint64_t need = leaf_bytes(begin, j, leaf_raw + group_raw);
+      if (begin < i && need > target) {
+        leaves.push_back(Leaf{begin, begin_lo});
+        begin = i;
+        begin_lo = rk;
+        leaf_raw = 0;
+        need = leaf_bytes(begin, j, group_raw);
+      }
+      SHERMAN_CHECK_MSG(need <= budget,
+                        "routing-key group exceeds leaf capacity");
+      leaf_raw += group_raw;
+      group_raw = 0;
+      i = j;
+    }
+    rk = rj;
+    if (j < kvs.size()) {
+      group_raw += kvs[j].first.size() + kvs[j].second.size();
+    }
   }
-  if (!cur.empty() || leaf_groups.empty()) leaf_groups.push_back(std::move(cur));
+  leaves.push_back(Leaf{begin, begin_lo});  // the open (maybe empty) leaf
 
-  const size_t num_leaves = leaf_groups.size();
+  const size_t num_leaves = leaves.size();
   std::vector<rdma::GlobalAddress> addrs(num_leaves);
   for (size_t l = 0; l < num_leaves; l++) addrs[l] = AllocBulk(shape.node_size);
 
   std::vector<std::pair<rdma::GlobalAddress, Key>> level_nodes;
   level_nodes.reserve(num_leaves);
+  std::vector<VarSpan> spans;
   for (size_t l = 0; l < num_leaves; l++) {
-    const Key lo = (l == 0) ? 0 : RoutingKeyFor(leaf_groups[l].front().key);
-    const Key hi = (l + 1 == num_leaves)
-                       ? kMaxKey
-                       : RoutingKeyFor(leaf_groups[l + 1].front().key);
-    const rdma::GlobalAddress sibling =
-        (l + 1 == num_leaves) ? rdma::kNullAddress : addrs[l + 1];
+    const bool last = l + 1 == num_leaves;
+    const size_t end = last ? kvs.size() : leaves[l + 1].begin;
+    const Key lo = leaves[l].lo;
+    const Key hi = last ? kMaxKey : leaves[l + 1].lo;
+    spans.clear();
+    for (size_t k = leaves[l].begin; k < end; k++) spans.push_back(span_of(k));
     NodeView view(fabric_.HostRaw(addrs[l]), &shape);
-    view.InitLeaf(lo, hi, sibling);
-    SHERMAN_CHECK(BuildVarLeaf(&view, leaf_groups[l]));
+    view.InitLeaf(lo, hi, last ? rdma::kNullAddress : addrs[l + 1]);
+    SHERMAN_CHECK(WriteVarLeaf(
+        &view, spans,
+        spans.empty() ? 0 : VarKeyLcp(spans.front(), spans.back())));
     if (checksum_mode) view.UpdateChecksum();
     if (dmsan_ != nullptr) dmsan_->PublishNode(addrs[l], /*level=*/0);
     if (!hints_.empty()) hints_[addrs[l].node]->SeedDirect(lo, addrs[l]);

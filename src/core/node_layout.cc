@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
+#include <vector>
 
 #include "sanitizer/dmsan.h"
 #include "util/crc32.h"
@@ -286,63 +286,47 @@ uint32_t NodeView::VarLowerBound(const Slice& key) const {
 
 uint32_t NodeView::VarFind(const Slice& key) const {
   const uint32_t i = VarLowerBound(key);
-  if (i >= count()) return UINT32_MAX;
+  return i < count() && VarKeyIs(i, key) ? i : UINT32_MAX;
+}
+
+bool NodeView::VarKeyIs(uint32_t i, const Slice& key) const {
   const uint32_t p = prefix_len();
   if (key.size() < p ||
       (p > 0 && std::memcmp(key.data(), VarPrefix().data(), p) != 0)) {
-    return UINT32_MAX;
+    return false;
   }
   const Slice s = VarSuffix(i);
-  if (s.size() != key.size() - p) return UINT32_MAX;
-  if (s.size() > 0 && std::memcmp(s.data(), key.data() + p, s.size()) != 0) {
-    return UINT32_MAX;
-  }
-  return i;
+  return s.size() == key.size() - p &&
+         (s.size() == 0 ||
+          std::memcmp(s.data(), key.data() + p, s.size()) == 0);
 }
 
-uint8_t NodeView::VarFingerprint(const Slice& key) {
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the full key
-  for (size_t i = 0; i < key.size(); i++) {
-    h ^= static_cast<uint8_t>(key.data()[i]);
+namespace {
+
+// FNV-1a, continued from state h over `bytes`; the slot fingerprint is the
+// low byte over the full key.
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+uint64_t Fnv1a(uint64_t h, const Slice& bytes) {
+  for (size_t i = 0; i < bytes.size(); i++) {
+    h ^= static_cast<uint8_t>(bytes.data()[i]);
     h *= 0x100000001b3ull;
   }
-  return static_cast<uint8_t>(h);
+  return h;
+}
+
+}  // namespace
+
+uint8_t NodeView::VarFingerprint(const Slice& key) {
+  return static_cast<uint8_t>(Fnv1a(kFnvBasis, key));
 }
 
 bool NodeView::VarRebuildWithPrefix(uint32_t new_p) {
   SHERMAN_CHECK(new_p <= prefix_len());
-  std::vector<VarEntry> entries = ExtractVarEntries(*this);
-  if (VarBytesNeeded(entries, new_p) > shape_->var_usable_bytes()) {
-    return false;
-  }
-  const uint32_t top = shape_->node_size - 1 - new_p;
-  if (new_p > 0) {
-    // All keys share the first new_p bytes; take them from any entry.
-    std::memcpy(data_ + top, entries.front().key.data(), new_p);
-  }
-  uint32_t w = top;
-  for (uint32_t i = 0; i < entries.size(); i++) {
-    const VarEntry& e = entries[i];
-    const uint32_t slen = static_cast<uint32_t>(e.key.size()) - new_p;
-    const uint32_t eb = slen + static_cast<uint32_t>(e.payload.size());
-    w -= eb;
-    std::memcpy(data_ + w, e.key.data() + new_p, slen);
-    if (!e.payload.empty()) {  // empty inline value: no buffer to copy
-      std::memcpy(data_ + w + slen, e.payload.data(), e.payload.size());
-    }
-    uint8_t* slot = data_ + VarSlotOffset(i);
-    const uint16_t off16 = static_cast<uint16_t>(w);
-    std::memcpy(slot, &off16, 2);
-    slot[2] = static_cast<uint8_t>(slen);
-    slot[3] = VarFingerprint(Slice(e.key.data(), e.key.size()));
-    std::memcpy(slot + 4, &e.vlen, 2);
-    slot[6] = e.outline ? kVarFlagOutline : 0;
-    slot[7] = 0;
-  }
-  set_prefix_len(static_cast<uint8_t>(new_p));
-  set_heap_watermark(static_cast<uint16_t>(w));
-  set_dead_bytes(0);
-  return true;
+  // The writer lays the page out in place, so it reads from a copy.
+  std::vector<uint8_t> page(data_, data_ + shape_->node_size);
+  std::vector<VarSpan> entries;
+  AppendVarSpans(NodeView(page.data(), shape_), &entries);
+  return WriteVarLeaf(this, entries, entries.empty() ? 0 : new_p);
 }
 
 void NodeView::VarCompact() {
@@ -447,81 +431,91 @@ void NodeView::VarRemoveAt(uint32_t i) {
   set_count(static_cast<uint16_t>(n - 1));
 }
 
-std::vector<VarEntry> ExtractVarEntries(const NodeView& v) {
-  std::vector<VarEntry> out;
-  const uint32_t n = v.count();
-  out.reserve(n);
-  for (uint32_t i = 0; i < n; i++) {
-    VarEntry e;
-    e.key = v.VarFullKey(i);
-    const uint32_t payload = v.VarEntryBytes(i) - v.VarSuffixLen(i);
-    const uint8_t* base = v.data() + v.VarEntryOff(i) + v.VarSuffixLen(i);
-    e.payload.assign(base, base + payload);
-    e.vlen = v.VarVlen(i);
-    e.outline = v.VarOutline(i);
-    out.push_back(std::move(e));
+void VarSpan::CopyKey(uint32_t from, uint32_t to, uint8_t* dst) const {
+  const uint32_t h = static_cast<uint32_t>(head.size());
+  if (from < h) {
+    const uint32_t n = std::min(to, h) - from;
+    std::memcpy(dst, head.data() + from, n);
+    dst += n;
+    from += n;
   }
-  return out;
+  if (from < to) std::memcpy(dst, tail.data() + (from - h), to - from);
 }
 
-uint32_t VarCommonPrefix(const std::vector<VarEntry>& entries) {
-  if (entries.empty()) return 0;
-  const std::string& a = entries.front().key;
-  const std::string& b = entries.back().key;
+void AppendVarSpans(const NodeView& v, std::vector<VarSpan>* out) {
+  const Slice prefix = v.VarPrefix();
+  const uint32_t n = v.count();
+  for (uint32_t i = 0; i < n; i++) {
+    const uint32_t slen = v.VarSuffixLen(i);
+    const char* heap =
+        reinterpret_cast<const char*>(v.data() + v.VarEntryOff(i));
+    out->push_back(VarSpan{prefix, Slice(heap, slen),
+                           Slice(heap + slen, v.VarEntryBytes(i) - slen),
+                           v.VarVlen(i), v.VarOutline(i)});
+  }
+}
+
+uint32_t VarKeyLcp(const VarSpan& a, const VarSpan& b) {
+  const uint32_t max = std::min({a.key_size(), b.key_size(), 255u});
   uint32_t p = 0;
-  const uint32_t max =
-      static_cast<uint32_t>(a.size() < b.size() ? a.size() : b.size());
-  while (p < max && a[p] == b[p]) p++;
-  return p < 255 ? p : 255;
+  while (p < max && a.KeyByte(p) == b.KeyByte(p)) p++;
+  return p;
 }
 
-uint32_t VarBytesNeeded(const std::vector<VarEntry>& entries, uint32_t p) {
-  uint32_t bytes = p;
-  for (const VarEntry& e : entries) bytes += kVarSlotSize + e.heap_bytes(p);
+Key VarSpanRoutingKey(const VarSpan& e) {
+  uint8_t head[8];
+  const uint32_t n = std::min(e.key_size(), 8u);
+  e.CopyKey(0, n, head);
+  return RoutingKeyFor(Slice(reinterpret_cast<const char*>(head), n));
+}
+
+namespace {
+
+// Leaf bytes `entries` need under page prefix p: slots + heap + prefix.
+uint64_t VarLeafBytes(std::span<const VarSpan> entries, uint32_t p) {
+  uint64_t bytes = p;
+  for (const VarSpan& e : entries) {
+    bytes += kVarSlotSize + e.key_size() - p + e.payload.size();
+  }
   return bytes;
 }
 
-bool BuildVarLeaf(NodeView* v, const std::vector<VarEntry>& entries) {
-  const uint32_t p = VarCommonPrefix(entries);
-  if (VarBytesNeeded(entries, p) > v->shape().var_usable_bytes()) {
-    return false;
+}  // namespace
+
+bool WriteVarLeaf(NodeView* v, std::span<const VarSpan> entries, uint32_t p) {
+  SHERMAN_CHECK(p <= 255 && (p == 0 || !entries.empty()));
+  // Suffixes must respect the u8 length field, including after a later
+  // diverging insert shrinks the prefix back to 0.
+  for (const VarSpan& e : entries) {
+    if (e.key_size() > 255) return false;
   }
-  for (size_t i = 0; i < entries.size(); i++) {
-    const VarEntry& e = entries[i];
-    // Per-entry suffixes must respect the u8 length field, including after
-    // a later diverging insert shrinks the prefix back to 0.
-    if (e.key.size() > 255) return false;
-    // Direct construction below assumes sorted unique input (every caller
-    // passes extracted-in-slot-order or loader-verified entries).
-    if (i > 0 && !(entries[i - 1].key < e.key)) return false;
-  }
-  // Write the final compressed layout directly under the maximal prefix.
-  // Staging through VarInsert (prefix 0, full keys) can overflow a page
-  // whose entries only fit WITH the shared prefix factored out — the
+  if (VarLeafBytes(entries, p) > v->shape().var_usable_bytes()) return false;
+  // The final compressed layout, written directly under prefix p: the
   // budget check above is against the compressed size.
+  uint8_t* data = v->data();
   const uint32_t top = v->shape().node_size - 1 - p;
-  if (p > 0) std::memcpy(v->data() + top, entries.front().key.data(), p);
-  v->set_prefix_len(static_cast<uint8_t>(p));
-  v->set_dead_bytes(0);
+  if (p > 0) entries.front().CopyKey(0, p, data + top);
   uint32_t w = top;
   for (uint32_t i = 0; i < entries.size(); i++) {
-    const VarEntry& e = entries[i];
-    const uint32_t slen = static_cast<uint32_t>(e.key.size()) - p;
-    const uint32_t eb = slen + static_cast<uint32_t>(e.payload.size());
-    w -= eb;
-    std::memcpy(v->data() + w, e.key.data() + p, slen);
-    if (!e.payload.empty()) {  // empty inline value: no buffer to copy
-      std::memcpy(v->data() + w + slen, e.payload.data(), e.payload.size());
+    const VarSpan& e = entries[i];
+    const uint32_t klen = e.key_size();
+    const uint32_t slen = klen - p;
+    w -= slen + static_cast<uint32_t>(e.payload.size());
+    e.CopyKey(p, klen, data + w);
+    if (!e.payload.empty()) {  // an empty value may carry a null pointer
+      std::memcpy(data + w + slen, e.payload.data(), e.payload.size());
     }
-    uint8_t* slot = v->data() + v->VarSlotOffset(i);
+    uint8_t* slot = data + v->VarSlotOffset(i);
     const uint16_t off16 = static_cast<uint16_t>(w);
     std::memcpy(slot, &off16, 2);
     slot[2] = static_cast<uint8_t>(slen);
-    slot[3] = NodeView::VarFingerprint(Slice(e.key.data(), e.key.size()));
+    slot[3] = static_cast<uint8_t>(Fnv1a(Fnv1a(kFnvBasis, e.head), e.tail));
     std::memcpy(slot + 4, &e.vlen, 2);
     slot[6] = e.outline ? kVarFlagOutline : 0;
     slot[7] = 0;
   }
+  v->set_prefix_len(static_cast<uint8_t>(p));
+  v->set_dead_bytes(0);
   v->set_count(static_cast<uint16_t>(entries.size()));
   v->set_heap_watermark(static_cast<uint16_t>(w));
   return true;
@@ -532,31 +526,25 @@ bool VarLeafFits(const NodeView& dst, const NodeView& src) {
   if (src.count() == 0) return true;
   // Merged prefix = LCP(dst's first key, src's last key); exact total
   // under that prefix (suffixes grow when the prefix shrinks).
-  const std::string lo = dst.VarFullKey(0);
-  const std::string hi = src.VarFullKey(src.count() - 1);
-  uint32_t p = 0;
-  const uint32_t max =
-      static_cast<uint32_t>(lo.size() < hi.size() ? lo.size() : hi.size());
-  while (p < max && lo[p] == hi[p]) p++;
-  if (p > 255) p = 255;
-  uint64_t bytes = p;
-  for (uint32_t i = 0; i < dst.count(); i++) {
-    bytes += kVarSlotSize + dst.VarFullKey(i).size() - p +
-             (dst.VarEntryBytes(i) - dst.VarSuffixLen(i));
-  }
-  for (uint32_t i = 0; i < src.count(); i++) {
-    bytes += kVarSlotSize + src.VarFullKey(i).size() - p +
-             (src.VarEntryBytes(i) - src.VarSuffixLen(i));
-  }
-  return bytes <= dst.shape().var_usable_bytes();
+  std::vector<VarSpan> merged;
+  merged.reserve(dst.count() + src.count());
+  AppendVarSpans(dst, &merged);
+  AppendVarSpans(src, &merged);
+  return VarLeafBytes(merged, VarKeyLcp(merged.front(), merged.back())) <=
+         dst.shape().var_usable_bytes();
 }
 
 void MoveVarLeafEntries(NodeView* dst, const NodeView& src) {
-  std::vector<VarEntry> merged = ExtractVarEntries(*dst);
-  std::vector<VarEntry> tail = ExtractVarEntries(src);
-  merged.insert(merged.end(), std::make_move_iterator(tail.begin()),
-                std::make_move_iterator(tail.end()));
-  SHERMAN_CHECK(BuildVarLeaf(dst, merged));
+  // dst is rewritten in place, so its entries are read from a copy.
+  std::vector<uint8_t> page(dst->data(),
+                            dst->data() + dst->shape().node_size);
+  std::vector<VarSpan> merged;
+  merged.reserve(dst->count() + src.count());
+  AppendVarSpans(NodeView(page.data(), &dst->shape()), &merged);
+  AppendVarSpans(src, &merged);
+  const uint32_t p =
+      merged.empty() ? 0 : VarKeyLcp(merged.front(), merged.back());
+  SHERMAN_CHECK(WriteVarLeaf(dst, merged, p));
 }
 
 void NodeView::SetInternalEntry(uint32_t i, Key key,

@@ -52,6 +52,7 @@
 #define SHERMAN_CORE_NODE_LAYOUT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -296,6 +297,8 @@ class NodeView {
   uint32_t VarLowerBound(const Slice& key) const;
   // Slot holding exactly `key`, or UINT32_MAX.
   uint32_t VarFind(const Slice& key) const;
+  // Does slot i hold exactly `key`?
+  bool VarKeyIs(uint32_t i, const Slice& key) const;
   // Inserts or updates `key`. payload is the heap payload: the inline
   // value bytes (outline=false) or the 8-byte packed vlog pointer
   // (outline=true); vlen is the FULL value length either way. Shrinks the
@@ -326,33 +329,47 @@ class NodeView {
   const TreeShape* shape_;
 };
 
-// A materialized varlen leaf entry (split/merge/bulk-load staging form).
-struct VarEntry {
-  std::string key;                   // full key
-  std::vector<uint8_t> payload;      // inline value or 8-byte vlog pointer
-  uint16_t vlen = 0;                 // full value length
+// One varlen leaf entry as non-owning byte ranges: the single input form of
+// the slotted-leaf writer. The full key is `head` followed by `tail` — an
+// entry read off a page is (page prefix, slot suffix), a loader or pending
+// entry is (empty, whole key). `payload` holds the inline value bytes or the
+// 8-byte packed vlog pointer; vlen is the FULL value length either way.
+struct VarSpan {
+  Slice head;
+  Slice tail;
+  Slice payload;
+  uint16_t vlen = 0;
   bool outline = false;
 
-  uint32_t heap_bytes(uint32_t prefix) const {
-    return static_cast<uint32_t>(key.size()) - prefix +
-           static_cast<uint32_t>(payload.size());
+  uint32_t key_size() const {
+    return static_cast<uint32_t>(head.size() + tail.size());
   }
+  uint8_t KeyByte(uint32_t i) const {
+    return static_cast<uint8_t>(i < head.size() ? head.data()[i]
+                                                : tail.data()[i - head.size()]);
+  }
+  // Copies full-key bytes [from, to) to dst.
+  void CopyKey(uint32_t from, uint32_t to, uint8_t* dst) const;
 };
 
-// All live entries of a varlen leaf, in key order.
-std::vector<VarEntry> ExtractVarEntries(const NodeView& v);
+// Appends one span per live slot of `v`, in key order. The spans alias v's
+// buffer: a rebuild that writes into that buffer must read from a copy.
+void AppendVarSpans(const NodeView& v, std::vector<VarSpan>* out);
 
-// Longest common prefix over a sorted entry run (= LCP of first and last),
-// capped at 255.
-uint32_t VarCommonPrefix(const std::vector<VarEntry>& entries);
+// Longest common prefix of two full keys, capped at 255 (the page prefix
+// length is a u8). For a sorted run, LCP(first, last) is the maximal page
+// prefix.
+uint32_t VarKeyLcp(const VarSpan& a, const VarSpan& b);
 
-// Total bytes `entries` need in a leaf under prefix p (slots + heap +
-// prefix bytes).
-uint32_t VarBytesNeeded(const std::vector<VarEntry>& entries, uint32_t p);
+// Routing key (RoutingKeyFor) of a span's full key.
+Key VarSpanRoutingKey(const VarSpan& e);
 
-// Populates an InitLeaf-fresh varlen leaf from sorted entries, computing
-// the maximal shared prefix. Returns false if they do not fit.
-bool BuildVarLeaf(NodeView* v, const std::vector<VarEntry>& entries);
+// The slotted-leaf writer. Lays sorted, unique `entries` into `v` under
+// page prefix length p (at most the LCP of the first and last key; 0 when
+// empty): prefix bytes, slot array, heap, count, watermark, zero dead
+// bytes. Returns false, leaving v unchanged, when they need more than
+// var_usable_bytes() or a key is longer than 255 bytes.
+bool WriteVarLeaf(NodeView* v, std::span<const VarSpan> entries, uint32_t p);
 
 // Would src's entries (all keys > dst's) fit into dst under the merged
 // prefix? Exact (accounts for suffix growth when the prefix shrinks).

@@ -3,6 +3,7 @@
 // range queries, and key-size sweeps — parameterized over every preset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -814,6 +815,112 @@ TEST(VarTreeTest, BulkLoadVarRoundTripsAndScans) {
 // Batched varlen paths: MultiInsertVar with an in-batch duplicate (the
 // later write must win and the superseded extent retire), MultiGetVar
 // answering present and absent keys positionally.
+// A scan that has emitted rows of leaf A and then finds its next leaf B
+// freed (a concurrent delete merged B into A) restarts from the last
+// emitted key. The restart lands in the merged A, which still holds that
+// key, and must resume strictly after it.
+TEST(VarTreeTest, ScanRestartAfterMergeRepeatsNoRow) {
+  const TreeOptions topt = VarOptions(1024);
+  ShermanSystem system(SmallFabric(2, 2), topt);
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (uint32_t r = 1; r <= 400; r++) {
+    const std::string d = std::to_string(r);
+    kvs.emplace_back("k" + std::string(7 - d.size(), '0') + d, "v" + d);
+  }
+  // Leaves 30% full: A and B together stay under the merge headroom.
+  system.BulkLoadVar(kvs, 0.3);
+  const TreeShape& shape = topt.shape;
+
+  // Leaves 2 and 3 of the chain: A and its right sibling B.
+  rdma::GlobalAddress addr = system.DebugRootAddr();
+  while (!NodeView(system.fabric().HostRaw(addr), &shape).is_leaf()) {
+    addr = NodeView(system.fabric().HostRaw(addr), &shape).leftmost_child();
+  }
+  std::vector<rdma::GlobalAddress> leaves;
+  for (; !addr.is_null() && leaves.size() < 4;
+       addr = NodeView(system.fabric().HostRaw(addr), &shape).sibling()) {
+    leaves.push_back(addr);
+  }
+  ASSERT_EQ(leaves.size(), 4u);
+  const rdma::GlobalAddress a_addr = leaves[2], b_addr = leaves[3];
+  auto keys_of = [&](rdma::GlobalAddress leaf) {
+    NodeView v(system.fabric().HostRaw(leaf), &shape);
+    std::vector<std::string> out;
+    for (uint32_t i = 0; i < v.count(); i++) out.push_back(v.VarFullKey(i));
+    return out;
+  };
+  const std::vector<std::string> a_keys = keys_of(a_addr);
+  const std::vector<std::string> b_keys = keys_of(b_addr);
+  ASSERT_GE(a_keys.size(), 10u);
+
+  // Set-up: A's values move out of line (one vlog READ per scanned row, so
+  // the scan of A spans many round trips), and B is drained to just above
+  // the merge threshold.
+  const double merge_below =
+      topt.merge_threshold * static_cast<double>(shape.var_usable_bytes());
+  bool ready = false;
+  sim::Spawn([](ShermanSystem* sys, const std::vector<std::string>* a_keys,
+                rdma::GlobalAddress b, double merge_below,
+                bool* flag) -> sim::Task<void> {
+    TreeClient* c = &sys->client(0);
+    const TreeShape& shape = sys->options().shape;
+    for (const std::string& k : *a_keys) {
+      EXPECT_TRUE((co_await c->InsertVar(k, std::string(100, 'o'))).ok());
+    }
+    while (true) {
+      NodeView v(sys->fabric().HostRaw(b), &shape);
+      const uint32_t last = v.count() - 1;
+      if (v.VarLiveBytes() - kVarSlotSize - v.VarEntryBytes(last) <
+          merge_below) {
+        break;
+      }
+      EXPECT_TRUE((co_await c->DeleteVar(v.VarFullKey(last))).ok());
+    }
+    *flag = true;
+  }(&system, &a_keys, b_addr, merge_below, &ready));
+  system.simulator().Run();
+  ASSERT_TRUE(ready);
+  ASSERT_FALSE(NodeView(system.fabric().HostRaw(b_addr), &shape).is_free());
+  const std::vector<std::string> b_left = keys_of(b_addr);
+
+  // The scan of A races one more delete in B, which merges B into A.
+  std::vector<std::pair<std::string, std::string>> got;
+  bool scanned = false, deleted = false;
+  sim::Spawn([](TreeClient* c, const std::string* from, uint32_t count,
+                std::vector<std::pair<std::string, std::string>>* out,
+                bool* flag) -> sim::Task<void> {
+    Status st = co_await c->ScanVar(Slice(*from), count, out);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    *flag = true;
+  }(&system.client(0), &a_keys.front(),
+    static_cast<uint32_t>(a_keys.size() + b_left.size()), &got, &scanned));
+  sim::Spawn([](TreeClient* c, const std::string* key,
+                bool* flag) -> sim::Task<void> {
+    EXPECT_TRUE((co_await c->DeleteVar(*key)).ok());
+    *flag = true;
+  }(&system.client(1), &b_left.back(), &deleted));
+  system.simulator().Run();
+  ASSERT_TRUE(scanned && deleted);
+  ASSERT_TRUE(NodeView(system.fabric().HostRaw(b_addr), &shape).is_free())
+      << "the delete did not merge B away";
+  system.DebugCheckInvariants();
+
+  // Every row once, in order: A's rows, what B still held, then the rows
+  // past B.
+  std::vector<std::string> want = a_keys;
+  want.insert(want.end(), b_left.begin(), b_left.end() - 1);
+  const auto after = std::upper_bound(
+      kvs.begin(), kvs.end(), b_keys.back(),
+      [](const std::string& k, const auto& kv) { return k < kv.first; });
+  for (auto it = after; want.size() < got.size() && it != kvs.end(); ++it) {
+    want.push_back(it->first);
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); i++) {
+    EXPECT_EQ(got[i].first, want[i]) << "row " << i;
+  }
+}
+
 TEST(VarTreeTest, MultiInsertVarAndMultiGetVarRoundTrip) {
   ShermanSystem system(SmallFabric(), VarOptions());
   system.BulkLoad({}, 0.8);
