@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the hot in-process paths: node
 // search/scan, entry writes, Zipfian generation, CRC32, histogram inserts,
-// index-cache probes and refills, and the varlen bulk loader. These are
+// index-cache probes and refills, the varlen bulk loader, and one READ
+// through the simulated fabric. These are
 // host-CPU costs (not simulated time); most back the cpu_*_ns constants in
 // rdma/config.h.
 #include <benchmark/benchmark.h>
@@ -14,6 +15,8 @@
 #include "cache/index_cache.h"
 #include "core/btree.h"
 #include "core/node_layout.h"
+#include "rdma/fabric.h"
+#include "sim/task.h"
 #include "util/crc32.h"
 #include "util/histogram.h"
 #include "util/random.h"
@@ -212,6 +215,38 @@ void BM_BulkLoadVar(benchmark::State& state) {
                           static_cast<int64_t>(kvs.size()));
 }
 BENCHMARK(BM_BulkLoadVar)->Arg(500'000)->Unit(benchmark::kMillisecond);
+
+sim::Task<void> PostOne(rdma::Qp* qp, rdma::WorkRequest wr) {
+  co_await qp->Post(wr);
+}
+
+// One 1 KB READ posted and completed through a Qp on an idle fabric: its
+// events, its DMA window and the copy into the reader's buffer. With
+// range(0) = 1 a 64-byte WRITE to the READ's last 64 bytes, posted right
+// after it, lands mid-DMA ahead of the transfer (a torn read); the WRITE's
+// own cost is then included.
+void BM_QpRead1K(benchmark::State& state) {
+  rdma::FabricConfig cfg;
+  cfg.num_memory_servers = 1;
+  cfg.num_compute_servers = 1;
+  cfg.ms_memory_bytes = 1 << 20;
+  rdma::Fabric fabric(cfg);
+  rdma::Qp& qp = fabric.qp(0, 0);
+  const rdma::GlobalAddress addr(0, 64 << 10);
+  std::vector<uint8_t> dst(1024);
+  std::vector<uint8_t> src(64, 7);
+  const bool torn = state.range(0) != 0;
+  const auto read = rdma::WorkRequest::Read(addr, dst.data(), 1024);
+  // protocol-ok: raw-verb microbenchmark of the fabric layer
+  const auto write = rdma::WorkRequest::Write(addr.Plus(960), src.data(), 64);
+  for (auto _ : state) {
+    sim::Spawn(PostOne(&qp, read));
+    if (torn) sim::Spawn(PostOne(&qp, write));
+    fabric.simulator().Run();
+  }
+  benchmark::DoNotOptimize(dst.data());
+}
+BENCHMARK(BM_QpRead1K)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace sherman

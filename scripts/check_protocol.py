@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Protocol-discipline linter for the Sherman tree.
 
-Two rule families, both cheap textual checks that run pre-build in CI:
+Three rule families, all cheap textual checks that run pre-build in CI:
 
 1. raw-verb containment: constructing a mutating rdma::WorkRequest
    (Write / Cas / MaskedCas / Faa) is only legal inside the blessed
@@ -17,6 +17,14 @@ Two rule families, both cheap textual checks that run pre-build in CI:
    statement calling a task-returning fabric entry point (.Post/.PostBatch/
    .PostReadBatch/.Rpc) must co_await it, sim::Spawn it, bind it, or
    return it.
+
+3. in-place memory changes: outside the verbs, simulated memory changes
+   only through Fabric::HostMutable / MemoryRegion::MutableRaw, which
+   first fill the READ windows whose DMA already started (so a READ in
+   flight keeps the bytes it moved). Only the memory-server RPC executors
+   (src/route/tree_rpc.cc), bulk load (src/core/bulk_load.cc), the verbs
+   layer and its unit test may call them; any other call carries an
+   inline `// protocol-ok: <reason>` on the same or the previous line.
 
 Exit status 0 = clean, 1 = findings (printed as file:line: message).
 """
@@ -40,6 +48,16 @@ BLESSED_RAW_VERBS = (
 )
 
 RAW_VERB_RE = re.compile(r"WorkRequest::(Write|Cas|MaskedCas|Faa)\s*\(")
+
+# Files allowed to change simulated memory in place.
+BLESSED_IN_PLACE = (
+    "src/rdma/",               # the accessors themselves
+    "src/route/tree_rpc.cc",   # memory-server RPC executors
+    "src/core/bulk_load.cc",   # offline tree construction
+    "tests/rdma_test.cc",      # exercises the accessors by design
+)
+
+IN_PLACE_RE = re.compile(r"\b(HostMutable|MutableRaw)\s*\(")
 SUPPRESS_RE = re.compile(r"//\s*protocol-ok:\s*\S")
 
 # Lazy-task entry points whose result must be consumed.
@@ -112,17 +130,22 @@ def lint_file(relpath, findings):
     lines = text.split("\n")
     raw_lines = raw.split("\n")
 
-    blessed = any(relpath.startswith(p) or relpath == p
-                  for p in BLESSED_RAW_VERBS)
+    blessed = any(relpath.startswith(p) for p in BLESSED_RAW_VERBS)
+    in_place_ok = any(relpath.startswith(p) for p in BLESSED_IN_PLACE)
 
     for ln, line in enumerate(lines, 1):
-        if not blessed and RAW_VERB_RE.search(line):
-            prev = lines[ln - 2] if ln >= 2 else ""
-            if not (SUPPRESS_RE.search(line) or SUPPRESS_RE.search(prev)):
-                findings.append(
-                    f"{relpath}:{ln}: mutating WorkRequest built outside the "
-                    f"blessed protocol layers (wrap it, or annotate "
-                    f"`// protocol-ok: <reason>`)")
+        prev = lines[ln - 2] if ln >= 2 else ""
+        suppressed = SUPPRESS_RE.search(line) or SUPPRESS_RE.search(prev)
+        if not blessed and not suppressed and RAW_VERB_RE.search(line):
+            findings.append(
+                f"{relpath}:{ln}: mutating WorkRequest built outside the "
+                f"blessed protocol layers (wrap it, or annotate "
+                f"`// protocol-ok: <reason>`)")
+        if not in_place_ok and not suppressed and IN_PLACE_RE.search(line):
+            findings.append(
+                f"{relpath}:{ln}: in-place change of simulated memory "
+                f"outside the RPC executors and bulk load (post a verb, or "
+                f"annotate `// protocol-ok: <reason>`)")
 
     for ln, stmt in iter_statements(lines):
         if not TASK_CALL_RE.search(stmt):

@@ -2021,7 +2021,8 @@ int ShermanSystem::AddMemoryServer() {
 uint32_t ShermanSystem::DebugHeight() const {
   auto* self = const_cast<ShermanSystem*>(this);
   const rdma::GlobalAddress root = DebugRootAddr();
-  NodeView view(self->fabric_.HostRaw(root), &options_.shape);
+  const NodeView view =
+      NodeView::Reader(self->fabric_.HostRaw(root), &options_.shape);
   return view.level() + 1u;
 }
 

@@ -68,7 +68,7 @@ rdma::GlobalAddress ShermanSystem::BuildUpperLevels(
       const rdma::GlobalAddress sibling =
           (i + 1 == num_nodes) ? rdma::kNullAddress : naddrs[i + 1];
 
-      NodeView view(fabric_.HostRaw(naddrs[i]), &shape);
+      NodeView view(fabric_.HostMutable(naddrs[i], shape.node_size), &shape);
       view.InitInternal(level, lo, hi, sibling,
                         /*leftmost=*/children[begin].first);
       uint16_t count = 0;
@@ -125,7 +125,7 @@ void ShermanSystem::BulkLoad(const std::vector<std::pair<Key, uint64_t>>& kvs,
     const rdma::GlobalAddress sibling =
         (i + 1 == num_leaves) ? rdma::kNullAddress : addrs[i + 1];
 
-    NodeView view(fabric_.HostRaw(addrs[i]), &shape);
+    NodeView view(fabric_.HostMutable(addrs[i], shape.node_size), &shape);
     view.InitLeaf(lo, hi, sibling);
     for (size_t j = begin; j < end; j++) {
       view.SetLeafEntryRaw(static_cast<uint32_t>(j - begin), kvs[j].first,
@@ -143,7 +143,9 @@ void ShermanSystem::BulkLoad(const std::vector<std::pair<Key, uint64_t>>& kvs,
 
   // --- Publish the root pointer in MS 0's meta region ---
   const uint64_t packed = root.ToU64();
-  std::memcpy(fabric_.ms(0).host().raw(kRootPointerOffset), &packed, 8);
+  std::memcpy(
+      fabric_.HostMutable(rdma::GlobalAddress(0, kRootPointerOffset), 8),
+      &packed, 8);
 }
 
 void ShermanSystem::BulkLoadVar(
@@ -240,7 +242,7 @@ void ShermanSystem::BulkLoadVar(
     const Key hi = last ? kMaxKey : leaves[l + 1].lo;
     spans.clear();
     for (size_t k = leaves[l].begin; k < end; k++) spans.push_back(span_of(k));
-    NodeView view(fabric_.HostRaw(addrs[l]), &shape);
+    NodeView view(fabric_.HostMutable(addrs[l], shape.node_size), &shape);
     view.InitLeaf(lo, hi, last ? rdma::kNullAddress : addrs[l + 1]);
     SHERMAN_CHECK(WriteVarLeaf(
         &view, spans,
@@ -254,7 +256,9 @@ void ShermanSystem::BulkLoadVar(
   const rdma::GlobalAddress root = BuildUpperLevels(std::move(level_nodes),
                                                     fill);
   const uint64_t packed = root.ToU64();
-  std::memcpy(fabric_.ms(0).host().raw(kRootPointerOffset), &packed, 8);
+  std::memcpy(
+      fabric_.HostMutable(rdma::GlobalAddress(0, kRootPointerOffset), 8),
+      &packed, 8);
 }
 
 std::vector<std::pair<Key, uint64_t>> ShermanSystem::DebugScanLeaves() const {
@@ -265,14 +269,14 @@ std::vector<std::pair<Key, uint64_t>> ShermanSystem::DebugScanLeaves() const {
   // Descend leftmost pointers to the leftmost leaf.
   rdma::GlobalAddress addr = DebugRootAddr();
   while (true) {
-    NodeView view(self->fabric_.HostRaw(addr), &shape);
+    const NodeView view = NodeView::Reader(self->fabric_.HostRaw(addr), &shape);
     if (view.is_leaf()) break;
     addr = view.leftmost_child();
   }
 
   std::vector<std::pair<Key, uint64_t>> out;
   while (!addr.is_null()) {
-    NodeView view(self->fabric_.HostRaw(addr), &shape);
+    const NodeView view = NodeView::Reader(self->fabric_.HostRaw(addr), &shape);
     SHERMAN_CHECK(view.is_leaf());
     std::vector<std::pair<Key, uint64_t>> leaf_entries;
     if (options_.two_level_versions) {
@@ -300,14 +304,14 @@ ShermanSystem::DebugScanLeavesVar() const {
 
   rdma::GlobalAddress addr = DebugRootAddr();
   while (true) {
-    NodeView view(self->fabric_.HostRaw(addr), &shape);
+    const NodeView view = NodeView::Reader(self->fabric_.HostRaw(addr), &shape);
     if (view.is_leaf()) break;
     addr = view.leftmost_child();
   }
 
   std::vector<std::pair<std::string, std::string>> out;
   while (!addr.is_null()) {
-    NodeView view(self->fabric_.HostRaw(addr), &shape);
+    const NodeView view = NodeView::Reader(self->fabric_.HostRaw(addr), &shape);
     SHERMAN_CHECK(view.is_leaf());
     for (uint32_t i = 0; i < view.count(); i++) {
       std::string k = view.VarFullKey(i);
@@ -344,13 +348,13 @@ size_t ShermanSystem::DebugCountLeaves() const {
   const TreeShape& shape = options_.shape;
   rdma::GlobalAddress addr = DebugRootAddr();
   while (true) {
-    NodeView view(self->fabric_.HostRaw(addr), &shape);
+    const NodeView view = NodeView::Reader(self->fabric_.HostRaw(addr), &shape);
     if (view.is_leaf()) break;
     addr = view.leftmost_child();
   }
   size_t n = 0;
   while (!addr.is_null()) {
-    NodeView view(self->fabric_.HostRaw(addr), &shape);
+    const NodeView view = NodeView::Reader(self->fabric_.HostRaw(addr), &shape);
     n++;
     addr = view.sibling();
   }
@@ -361,7 +365,8 @@ void ShermanSystem::DebugCheckInvariants() const {
   auto* self = const_cast<ShermanSystem*>(this);
   const TreeShape& shape = options_.shape;
   const rdma::GlobalAddress root = DebugRootAddr();
-  NodeView root_view(self->fabric_.HostRaw(root), &shape);
+  const NodeView root_view =
+      NodeView::Reader(self->fabric_.HostRaw(root), &shape);
   const uint8_t root_level = root_view.level();
   SHERMAN_CHECK(root_view.lo_fence() == 0);
   SHERMAN_CHECK(root_view.hi_fence() == kMaxKey);
@@ -374,7 +379,8 @@ void ShermanSystem::DebugCheckInvariants() const {
     Key expected_lo = 0;
     rdma::GlobalAddress next_level_start;
     while (!addr.is_null()) {
-      NodeView view(self->fabric_.HostRaw(addr), &shape);
+      const NodeView view =
+          NodeView::Reader(self->fabric_.HostRaw(addr), &shape);
       SHERMAN_CHECK_MSG(view.level() == level, "level mismatch at %s",
                         addr.ToString().c_str());
       SHERMAN_CHECK(view.is_leaf() == (level == 0));
@@ -426,7 +432,8 @@ void ShermanSystem::DebugCheckInvariants() const {
           prev = k;
           // Each child's lo fence equals its separator.
           const rdma::GlobalAddress child = view.InternalChild(i);
-          NodeView cv(self->fabric_.HostRaw(child), &shape);
+          const NodeView cv =
+              NodeView::Reader(self->fabric_.HostRaw(child), &shape);
           SHERMAN_CHECK_MSG(cv.lo_fence() == k,
                             "child lo %llu != separator %llu",
                             (unsigned long long)cv.lo_fence(),
@@ -434,7 +441,8 @@ void ShermanSystem::DebugCheckInvariants() const {
           SHERMAN_CHECK(cv.level() == level - 1);
         }
         // Leftmost child starts at this node's lo fence.
-        NodeView lm(self->fabric_.HostRaw(view.leftmost_child()), &shape);
+        const NodeView lm = NodeView::Reader(
+            self->fabric_.HostRaw(view.leftmost_child()), &shape);
         SHERMAN_CHECK(lm.lo_fence() == view.lo_fence());
         SHERMAN_CHECK(lm.level() == level - 1);
       }

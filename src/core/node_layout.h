@@ -126,6 +126,11 @@ class NodeView {
  public:
   NodeView(uint8_t* data, const TreeShape* shape)
       : data_(data), shape_(shape) {}
+  // A view that only reads `data` (e.g. simulated memory seen through
+  // Fabric::HostRaw): only the const members are callable on it.
+  static const NodeView Reader(const uint8_t* data, const TreeShape* shape) {
+    return NodeView(const_cast<uint8_t*>(data), shape);
+  }
 
   uint8_t* data() { return data_; }
   const uint8_t* data() const { return data_; }

@@ -37,7 +37,10 @@ HoclHashTable::HoclHashTable(rdma::Fabric* fabric, HashTableOptions options)
                       "MS %d too small for hash table shard", ms);
     base_offsets_[ms] = kChunkAreaOffset;
     // Zero the shard (all slots empty).
-    std::memset(fabric->ms(ms).host().raw(kChunkAreaOffset), 0, per_ms);
+    const rdma::GlobalAddress shard(static_cast<uint16_t>(ms),
+                                    kChunkAreaOffset);
+    // protocol-ok: table set-up, before any client posts a READ
+    std::memset(fabric->HostMutable(shard, per_ms), 0, per_ms);
   }
 }
 

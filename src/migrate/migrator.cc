@@ -552,13 +552,13 @@ uint64_t Migrator::CountOffTarget(Key lo, Key hi, uint16_t target) const {
   rdma::GlobalAddress addr = system_->DebugRootAddr();
   // Descend live pointers to the leaf covering lo.
   for (uint64_t guard = 0; guard < kMaxWalkNodes; guard++) {
-    NodeView view(fabric.HostRaw(addr), &shape);
+    const NodeView view = NodeView::Reader(fabric.HostRaw(addr), &shape);
     if (view.is_leaf()) break;
     addr = view.InternalChildFor(lo);
   }
   uint64_t off = 0;
   for (uint64_t guard = 0; guard < kMaxWalkNodes && !addr.is_null(); guard++) {
-    NodeView view(fabric.HostRaw(addr), &shape);
+    const NodeView view = NodeView::Reader(fabric.HostRaw(addr), &shape);
     if (view.lo_fence() >= hi) break;
     if (addr.node != target) off++;
     addr = view.sibling();

@@ -43,10 +43,18 @@ class Fabric {
   // id is the previous num_memory_servers().
   MemoryServer& AddMemoryServer();
 
-  // Direct host-memory access for bulk loading and verification (bypasses
-  // the timing model; never use from simulated clients).
-  uint8_t* HostRaw(GlobalAddress addr) {
+  // Direct host-memory access for verification and memory-server-side
+  // lookups (bypasses the timing model; never use from simulated clients).
+  const uint8_t* HostRaw(GlobalAddress addr) {
     return ms(addr.node).host().raw(addr.offset);
+  }
+  // The one mutable door into host memory outside the verbs, for the
+  // memory-server RPC executors and bulk load: `len` bytes at `addr` may be
+  // changed in place until the simulator runs another event. READs whose
+  // DMA already started keep the bytes they moved (see
+  // MemoryRegion::MutableRaw).
+  uint8_t* HostMutable(GlobalAddress addr, uint64_t len) {
+    return ms(addr.node).host().MutableRaw(addr.offset, len, sim_);
   }
 
   // Aggregate NIC counters over all servers (for reports).

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/simulator.h"
 #include "util/logging.h"
 
 namespace sherman::rdma {
@@ -27,64 +28,87 @@ MemoryRegion::MemoryRegion(uint64_t size) : size_(size) {
 
 MemoryRegion::~MemoryRegion() { munmap(map_, map_bytes_); }
 
-uint8_t* MemoryRegion::raw(uint64_t offset) {
+const uint8_t* MemoryRegion::raw(uint64_t offset) const {
   SHERMAN_CHECK_MSG(offset <= size_, "offset %llu beyond region size %llu",
                     static_cast<unsigned long long>(offset),
                     static_cast<unsigned long long>(size_));
   return data_ + offset;
 }
 
-const uint8_t* MemoryRegion::raw(uint64_t offset) const {
-  SHERMAN_CHECK(offset <= size_);
+uint8_t* MemoryRegion::MutableRaw(uint64_t offset, uint64_t len,
+                                  const sim::Simulator& sim) {
+  SHERMAN_CHECK(offset + len <= size_);
+  for (ReadWindow& w : windows_) {
+    if (!w.filled && w.offset < offset + len && offset < w.offset + w.len &&
+        sim.Passed(w.start, w.stamp)) {
+      Fill(w);
+    }
+  }
   return data_ + offset;
 }
 
-uint64_t MemoryRegion::BeginRead(uint64_t offset, uint32_t len, uint8_t* dst,
-                                 sim::SimTime start, sim::SimTime end) {
+uint64_t MemoryRegion::OpenRead(uint64_t offset, uint32_t len, uint8_t* dst,
+                                sim::SimTime start, sim::SimTime end,
+                                uint64_t stamp) {
   SHERMAN_CHECK(offset + len <= size_);
-  SHERMAN_CHECK(end >= start);
-  std::memcpy(dst, data_ + offset, len);
+  // A DMA takes time, so a Write at `start` patches the whole overlap
+  // whichever side of the start event it runs on (see Write).
+  SHERMAN_CHECK_MSG(end > start, "empty DMA window at t=%llu",
+                    static_cast<unsigned long long>(start));
   const uint64_t handle = next_handle_++;
-  inflight_.push_back(InflightRead{handle, offset, len, dst, start, end});
+  windows_.push_back(
+      ReadWindow{handle, offset, len, false, dst, start, end, stamp});
   return handle;
 }
 
-void MemoryRegion::EndRead(uint64_t handle) {
-  for (InflightRead& r : inflight_) {
-    if (r.handle == handle) {
-      r = inflight_.back();
-      inflight_.pop_back();
+void MemoryRegion::CloseRead(uint64_t handle) {
+  for (ReadWindow& w : windows_) {
+    if (w.handle == handle) {
+      if (!w.filled) Fill(w);
+      w = windows_.back();
+      windows_.pop_back();
       return;
     }
   }
-  SHERMAN_CHECK_MSG(false, "EndRead: unknown handle %llu",
+  SHERMAN_CHECK_MSG(false, "CloseRead: unknown handle %llu",
                     static_cast<unsigned long long>(handle));
 }
 
-uint64_t MemoryRegion::Progress(const InflightRead& r, sim::SimTime now) {
-  if (now <= r.start) return r.offset;
-  if (now >= r.end) return r.offset + r.len;
-  const double frac = static_cast<double>(now - r.start) /
-                      static_cast<double>(r.end - r.start);
-  return r.offset + static_cast<uint64_t>(frac * r.len);
+void MemoryRegion::Fill(ReadWindow& w) {
+  std::memcpy(w.dst, data_ + w.offset, w.len);
+  w.filled = true;
+}
+
+uint64_t MemoryRegion::Progress(const ReadWindow& w, sim::SimTime now) {
+  if (now <= w.start) return w.offset;
+  if (now >= w.end) return w.offset + w.len;
+  const double frac = static_cast<double>(now - w.start) /
+                      static_cast<double>(w.end - w.start);
+  return w.offset + static_cast<uint64_t>(frac * w.len);
 }
 
 void MemoryRegion::Write(sim::SimTime now, uint64_t offset, const uint8_t* src,
                          uint32_t len) {
   SHERMAN_CHECK(offset + len <= size_);
-  std::memcpy(data_ + offset, src, len);
-  // Patch the not-yet-transferred suffix of overlapping in-flight reads:
-  // bytes below the DMA progress point were already transferred and keep
-  // their old value in the reader's buffer.
-  for (const InflightRead& r : inflight_) {
-    const uint64_t overlap_begin =
-        std::max({offset, r.offset, Progress(r, now)});
+  for (ReadWindow& w : windows_) {
+    const uint64_t overlap_begin = std::max(offset, w.offset);
     const uint64_t overlap_end =
-        std::min<uint64_t>(offset + len, r.offset + r.len);
+        std::min<uint64_t>(offset + len, w.offset + w.len);
     if (overlap_begin >= overlap_end) continue;
-    std::memcpy(r.dst + (overlap_begin - r.offset), src + (overlap_begin - offset),
-                overlap_end - overlap_begin);
+    if (!w.filled) {
+      // Up to its start the DMA has moved nothing: the later fill reads
+      // this write, as a patch of the whole overlap would.
+      if (now <= w.start) continue;
+      Fill(w);
+    }
+    // Bytes below the DMA progress point were already transferred and keep
+    // their old value in the reader's buffer.
+    const uint64_t patch_begin = std::max(overlap_begin, Progress(w, now));
+    if (patch_begin >= overlap_end) continue;
+    std::memcpy(w.dst + (patch_begin - w.offset), src + (patch_begin - offset),
+                overlap_end - patch_begin);
   }
+  std::memcpy(data_ + offset, src, len);
 }
 
 uint64_t MemoryRegion::Read64(uint64_t offset) const {

@@ -23,6 +23,10 @@ Qp::Qp(ComputeServer* cs, MemoryServer* ms, sim::Simulator* sim,
 
 uint16_t Qp::remote_id() const { return ms_->id(); }
 
+MemoryRegion& Qp::RegionFor(const WorkRequest& wr) const {
+  return wr.space == MemorySpace::kHost ? ms_->host() : ms_->device();
+}
+
 uint32_t Qp::RequestPayload(const WorkRequest& wr) {
   switch (wr.verb) {
     case Verb::kWrite:
@@ -73,7 +77,8 @@ sim::Task<RdmaResult> Qp::PostWrs(WorkRequest one,
   // parked, never destroyed), so plain pointers into the frame are safe to
   // capture.
   bool cas_success = false;
-  uint64_t read_handle = 0;
+  MemoryRegion* read_region = nullptr;  // the READ's window, if the batch
+  uint64_t read_handle = 0;             // ends in a READ
   // WRITE payloads are snapshotted at post time (the NIC DMAs them from the
   // sender then) into one buffer for the whole batch.
   size_t payload_bytes = 0;
@@ -130,8 +135,7 @@ sim::Task<RdmaResult> Qp::PostWrs(WorkRequest one,
     const sim::SimTime exec_ready = std::max(rx_done, batch_prev_exec);
     const bool device_space = wr.space == MemorySpace::kDevice;
 
-    MemoryRegion& region =
-        wr.space == MemorySpace::kHost ? ms_->host() : ms_->device();
+    MemoryRegion& region = RegionFor(wr);
     SHERMAN_CHECK_MSG(wr.remote.node == ms_->id(),
                       "WR for MS %u posted on QP to MS %u", wr.remote.node,
                       ms_->id());
@@ -159,6 +163,7 @@ sim::Task<RdmaResult> Qp::PostWrs(WorkRequest one,
       }
       case Verb::kRead: {
         exec_done = ScheduleReadDma(wr, exec_ready, &read_handle);
+        read_region = &region;
         break;
       }
       case Verb::kCas:
@@ -222,7 +227,10 @@ sim::Task<RdmaResult> Qp::PostWrs(WorkRequest one,
   const sim::SimTime completion = resp_done + cfg->cq_poll_ns;
 
   sim::OneShot done;
-  sim->At(completion, [&done] { done.Fire(); });
+  sim->At(completion, [&done, read_region, read_handle] {
+    if (read_region != nullptr) read_region->CloseRead(read_handle);
+    done.Fire();
+  });
   co_await done;
 
   RdmaResult result;
@@ -233,11 +241,8 @@ sim::Task<RdmaResult> Qp::PostWrs(WorkRequest one,
 
 sim::SimTime Qp::ScheduleReadDma(const WorkRequest& wr,
                                  sim::SimTime exec_ready, uint64_t* handle) {
-  sim::Simulator* sim = sim_;
   const FabricConfig* cfg = cfg_;
   const bool device_space = wr.space == MemorySpace::kDevice;
-  MemoryRegion& region = device_space ? ms_->device() : ms_->host();
-
   const sim::SimTime dma =
       wr.space == MemorySpace::kHost
           ? cfg->pcie_read_ns + static_cast<sim::SimTime>(
@@ -247,14 +252,12 @@ sim::SimTime Qp::ScheduleReadDma(const WorkRequest& wr,
   const sim::SimTime start =
       std::max(exec_ready, ms_->LastWriteApply(device_space));
   const sim::SimTime end = start + dma;
-  // The DMA occupies [start, end): register an in-flight read so
-  // concurrent writes patch only the unread suffix.
-  sim->At(start, [&region, &wr, handle, start, end] {
-    *handle = region.BeginRead(wr.remote.offset, wr.length,
-                               static_cast<uint8_t*>(wr.local_buf), start,
-                               end);
-  });
-  sim->At(end, [&region, handle] { region.EndRead(*handle); });
+  // The stamp holds the place an event at `start`, scheduled now, would
+  // take, so a same-nanosecond in-place change orders against the DMA
+  // start exactly as it would against that event.
+  *handle = RegionFor(wr).OpenRead(wr.remote.offset, wr.length,
+                                   static_cast<uint8_t*>(wr.local_buf), start,
+                                   end, sim_->TakeStamp());
   return end;
 }
 
@@ -273,7 +276,7 @@ sim::Task<RdmaResult> Qp::PostReadBatch(std::vector<WorkRequest> wrs) {
   // READ's DMA starts as soon as its own header clears the target RX —
   // unlike PostBatch there is no execute-after-predecessor chain, the
   // reads are independent by contract.
-  // One in-flight-read handle per READ, owned by this frame (see PostWrs).
+  // One read-window handle per READ, owned by this frame (see PostWrs).
   sim::PooledBuffer handles(wrs.size() * sizeof(uint64_t));
   sim::SimTime tx_prev = sim->now();
   sim::SimTime resp_prev = 0;
@@ -287,9 +290,7 @@ sim::Task<RdmaResult> Qp::PostReadBatch(std::vector<WorkRequest> wrs) {
                       ms_->id());
     counters_.reads++;
     counters_.read_bytes += wr.length;
-    MemoryRegion& region =
-        wr.space == MemorySpace::kHost ? ms_->host() : ms_->device();
-    SHERMAN_CHECK(wr.remote.offset + wr.length <= region.size());
+    SHERMAN_CHECK(wr.remote.offset + wr.length <= RegionFor(wr).size());
     if (dmsan::Active()) {
       if (dmsan::Checker* checker = dmsan::Find(sim)) {
         checker->OnWr(cs_->id(), wr);
@@ -312,10 +313,17 @@ sim::Task<RdmaResult> Qp::PostReadBatch(std::vector<WorkRequest> wrs) {
     last_resp_done = cs_nic.ReserveRx(resp_arrive, ResponsePayload(wr));
   }
 
-  // One completion, polled after the last response lands.
+  // One completion, polled after the last response lands; it closes every
+  // READ's window.
   const sim::SimTime completion = last_resp_done + cfg->cq_poll_ns;
   sim::OneShot done;
-  sim->At(completion, [&done] { done.Fire(); });
+  sim->At(completion,
+          [this, &wrs, ids = handles.data<uint64_t>(), &done] {
+            for (size_t i = 0; i < wrs.size(); i++) {
+              RegionFor(wrs[i]).CloseRead(ids[i]);
+            }
+            done.Fire();
+          });
   co_await done;
 
   RdmaResult result;

@@ -35,6 +35,7 @@ namespace sherman::rdma {
 
 class ComputeServer;
 class MemoryServer;
+class MemoryRegion;
 
 struct QpCounters {
   uint64_t batches = 0;     // doorbell rings == round trips on this QP
@@ -151,15 +152,21 @@ class Qp {
 
   // The one body of Post and PostBatch: posts `batch`, or `one` when
   // `batch` is empty. Both are coroutine parameters, so the WRs live in the
-  // posting frame, and the DMA events point at them there: every event
-  // this schedules fires no later than the completion that resumes it.
+  // posting frame, and the WRITE and atomic events point at them there:
+  // every event this schedules fires no later than the completion that
+  // resumes it.
   sim::Task<RdmaResult> PostWrs(WorkRequest one,
                                 std::vector<WorkRequest> batch);
 
-  // Schedules the MS-side DMA of one READ (PCIe ordering vs prior posted
-  // writes, in-flight-read registration) and returns its completion time.
-  // `wr` and `*handle` (the region's in-flight-read handle) must stay alive
-  // until that time.
+  // The region a WR targets on this QP's memory server.
+  MemoryRegion& RegionFor(const WorkRequest& wr) const;
+
+  // Times the MS-side DMA of one READ: its window [start, end) begins once
+  // the request is ready and every previously posted write has applied
+  // (PCIe ordering). Registers the window with the target region now, at
+  // post time, as *handle, schedules no event, and returns `end`. The
+  // caller's completion event must CloseRead(*handle), which fills `wr`'s
+  // buffer unless a write to the window already did (see MemoryRegion).
   sim::SimTime ScheduleReadDma(const WorkRequest& wr, sim::SimTime exec_ready,
                                uint64_t* handle);
 

@@ -31,14 +31,19 @@ void SealHostNode(NodeView* node, const TreeOptions& o) {
   }
 }
 
-// DMSan feed: the MS-side executor is about to mutate `node` through host
-// memory. It only reaches this point after NodeLocked declined held lanes,
-// so a shadow-held lane here is a genuine executor-vs-one-sided race.
-void DmsanRpcMutate(ShermanSystem* system, rdma::GlobalAddress node) {
-  if (!dmsan::Active()) return;
-  if (dmsan::Checker* c = system->dmsan_checker()) {
-    c->OnRpcMutate(node.node, node);
+// A writable view of host node `node`, which the MS-side executor is about
+// to mutate in place (the one-sided READs already moving its bytes keep
+// them, see Fabric::HostMutable). Feeds DMSan: the executor only reaches
+// this point after NodeLocked declined held lanes, so a shadow-held lane
+// here is a genuine executor-vs-one-sided race.
+NodeView MutateHostNode(ShermanSystem* system, rdma::GlobalAddress node) {
+  if (dmsan::Active()) {
+    if (dmsan::Checker* c = system->dmsan_checker()) {
+      c->OnRpcMutate(node.node, node);
+    }
   }
+  const TreeShape& shape = system->options().shape;
+  return NodeView(system->fabric().HostMutable(node, shape.node_size), &shape);
 }
 
 // --- op message bodies -------------------------------------------------------
@@ -200,7 +205,7 @@ rdma::GlobalAddress TreeRpcService::FindNode(Key key, uint8_t level) const {
   if (addr.is_null()) return rdma::kNullAddress;
 
   for (int hop = 0; hop < kMaxHops; hop++) {
-    NodeView view(fabric.HostRaw(addr), &shape);
+    const NodeView view = NodeView::Reader(fabric.HostRaw(addr), &shape);
     if (view.is_free() || view.level() < level || key < view.lo_fence()) {
       return rdma::kNullAddress;
     }
@@ -231,7 +236,7 @@ void TreeRpcService::TryMergeHost(rdma::GlobalAddress leaf) {
   const TreeOptions& o = system_->options();
   if (o.merge_threshold <= 0) return;
   rdma::Fabric& fabric = system_->fabric();
-  NodeView view(fabric.HostRaw(leaf), &o.shape);
+  const NodeView view = NodeView::Reader(fabric.HostRaw(leaf), &o.shape);
   if (!view.is_leaf() || view.is_free()) return;
   const Key lo = view.lo_fence();
   const Key hi = view.hi_fence();
@@ -249,7 +254,7 @@ void TreeRpcService::TryMergeHost(rdma::GlobalAddress leaf) {
   // separator lives a level up).
   const rdma::GlobalAddress paddr = FindNode(lo, /*level=*/1);
   if (paddr.is_null()) return;
-  NodeView pview(fabric.HostRaw(paddr), &o.shape);
+  const NodeView pview = NodeView::Reader(fabric.HostRaw(paddr), &o.shape);
   const uint32_t pn = pview.count();
   uint32_t ei = UINT32_MAX;
   for (uint32_t i = 0; i < pn; i++) {
@@ -262,7 +267,7 @@ void TreeRpcService::TryMergeHost(rdma::GlobalAddress leaf) {
   const rdma::GlobalAddress saddr =
       ei == 0 ? pview.leftmost_child() : pview.InternalChild(ei - 1);
   if (saddr.is_null()) return;
-  NodeView sview(fabric.HostRaw(saddr), &o.shape);
+  const NodeView sview = NodeView::Reader(fabric.HostRaw(saddr), &o.shape);
   if (!sview.is_leaf() || sview.is_free() || sview.hi_fence() != lo ||
       sview.sibling() != leaf) {
     return;
@@ -275,18 +280,18 @@ void TreeRpcService::TryMergeHost(rdma::GlobalAddress leaf) {
   const uint32_t s_live = sview.LiveLeafEntries(o.two_level_versions);
   if (s_live + live > 3 * cap / 4) return;  // anti-thrash headroom
 
-  DmsanRpcMutate(system_, leaf);
-  DmsanRpcMutate(system_, saddr);
-  DmsanRpcMutate(system_, paddr);
+  NodeView leaf_w = MutateHostNode(system_, leaf);
+  NodeView sibling_w = MutateHostNode(system_, saddr);
+  NodeView parent_w = MutateHostNode(system_, paddr);
   // Move survivors, widen the sibling, drop the parent entry, tombstone.
-  MoveLeafEntries(&sview, view, o.two_level_versions);
-  sview.set_hi_fence(hi);
-  sview.set_sibling(view.sibling());
-  SealHostNode(&sview, o);
-  SHERMAN_CHECK(pview.InternalRemove(lo, leaf));
-  SealHostNode(&pview, o);
-  view.set_free(true);
-  SealHostNode(&view, o);
+  MoveLeafEntries(&sibling_w, leaf_w, o.two_level_versions);
+  sibling_w.set_hi_fence(hi);
+  sibling_w.set_sibling(leaf_w.sibling());
+  SealHostNode(&sibling_w, o);
+  SHERMAN_CHECK(parent_w.InternalRemove(lo, leaf));
+  SealHostNode(&parent_w, o);
+  leaf_w.set_free(true);
+  SealHostNode(&leaf_w, o);
   system_->chunk_manager(leaf.node)
       .FreeNode(leaf.offset, o.shape.node_size);
   leaf_merges_++;
@@ -306,7 +311,7 @@ Status TreeRpcService::DoScan(int ms, Key from, uint32_t count,
   bool end_of_tree = false;
   bool anomaly = false;
   while (!addr.is_null() && out->size() < count && leaves < kMaxScanLeaves) {
-    NodeView view(fabric.HostRaw(addr), &o.shape);
+    const NodeView view = NodeView::Reader(fabric.HostRaw(addr), &o.shape);
     if (view.is_free() || !view.is_leaf()) {
       anomaly = true;
       break;
@@ -372,7 +377,8 @@ std::vector<MultiGetResult> TreeRpcService::DoMultiGet(
       r.status = Status::Retry("ms-side multi-get declined");
     } else {
       served_++;
-      NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
+      const NodeView view =
+          NodeView::Reader(system_->fabric().HostRaw(leaf), &o.shape);
       uint32_t i = o.two_level_versions ? view.FindLeafSlot(key).match
                                         : view.SortedLeafFind(key);
       if (i == UINT32_MAX) {
@@ -401,8 +407,7 @@ std::vector<Status> TreeRpcService::DoMultiInsert(int ms,
       out.push_back(Status::Retry("ms-side multi-insert declined"));
       continue;
     }
-    NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
-    DmsanRpcMutate(system_, leaf);
+    NodeView view = MutateHostNode(system_, leaf);
     if (o.two_level_versions) {
       const NodeView::SlotResult slot = view.FindLeafSlot(key);
       const uint32_t i = slot.match != UINT32_MAX ? slot.match : slot.empty;
@@ -439,8 +444,7 @@ std::vector<Status> TreeRpcService::DoMultiDelete(
       out.push_back(Status::Retry("ms-side multi-delete declined"));
       continue;
     }
-    NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
-    DmsanRpcMutate(system_, leaf);
+    NodeView view = MutateHostNode(system_, leaf);
     bool removed = false;
     if (o.two_level_versions) {
       const NodeView::SlotResult slot = view.FindLeafSlot(key);
@@ -499,7 +503,8 @@ Status TreeRpcService::HostVarLookup(int ms, const std::string& key,
                                      std::string* value) {
   const rdma::GlobalAddress leaf = FindLeaf(RoutingKeyFor(key));
   if (leaf.is_null()) return Status::Retry("ms-side var lookup declined");
-  NodeView view(system_->fabric().HostRaw(leaf), &system_->options().shape);
+  const NodeView view = NodeView::Reader(system_->fabric().HostRaw(leaf),
+                                         &system_->options().shape);
   const uint32_t i = view.VarFind(key);
   if (i == UINT32_MAX) return Status::NotFound();
   if (!HostVarValue(ms, view, i, key, value)) {
@@ -519,17 +524,18 @@ Status TreeRpcService::HostVarInsert(const std::string& key,
   if (leaf.is_null() || NodeLocked(leaf)) {
     return Status::Retry("ms-side var insert declined");
   }
-  NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
   {
     // Replacing an out-of-line record retires its extent — possibly on a
     // foreign MS, and always a liveness transition the client's vlog path
     // owns. Decline; the one-sided insert handles it.
-    const uint32_t at = view.VarFind(key);
-    if (at != UINT32_MAX && view.VarOutline(at)) {
+    const NodeView peek =
+        NodeView::Reader(system_->fabric().HostRaw(leaf), &o.shape);
+    const uint32_t at = peek.VarFind(key);
+    if (at != UINT32_MAX && peek.VarOutline(at)) {
       return Status::Retry("ms-side var insert: outline slot");
     }
   }
-  DmsanRpcMutate(system_, leaf);
+  NodeView view = MutateHostNode(system_, leaf);
   if (!view.VarInsert(key, reinterpret_cast<const uint8_t*>(value.data()),
                       static_cast<uint32_t>(value.size()),
                       static_cast<uint16_t>(value.size()),
@@ -547,7 +553,8 @@ Status TreeRpcService::DoVarDelete(int ms, const std::string& key) {
     return Status::Retry("ms-side var delete declined");
   }
   const TreeOptions& o = system_->options();
-  NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
+  const NodeView view =
+      NodeView::Reader(system_->fabric().HostRaw(leaf), &o.shape);
   const uint32_t at = view.VarFind(key);
   if (at == UINT32_MAX) {
     served_++;
@@ -563,9 +570,9 @@ Status TreeRpcService::DoVarDelete(int ms, const std::string& key) {
       return Status::Retry("ms-side var delete: foreign extent");
     }
   }
-  DmsanRpcMutate(system_, leaf);
-  view.VarRemoveAt(at);
-  SealHostNode(&view, o);
+  NodeView leaf_w = MutateHostNode(system_, leaf);
+  leaf_w.VarRemoveAt(at);
+  SealHostNode(&leaf_w, o);
   if (ptr != 0) {
     system_->chunk_manager(ms).VlogRetire(vlog::VlogPtr::Off(ptr));
   }
@@ -589,7 +596,7 @@ Status TreeRpcService::DoVarScan(int ms, const std::string& from,
   bool end_of_tree = false;
   bool anomaly = false;
   while (!addr.is_null() && out->size() < count && leaves < kMaxScanLeaves) {
-    NodeView view(fabric.HostRaw(addr), &o.shape);
+    const NodeView view = NodeView::Reader(fabric.HostRaw(addr), &o.shape);
     if (view.is_free() || !view.is_leaf()) {
       anomaly = true;
       break;

@@ -125,8 +125,16 @@ class EventQueue {
   // Callback slots ever allocated: the high-water mark of size().
   size_t slots() const { return slots_.size(); }
 
-  // Time of the earliest pending event. Requires !empty().
+  // Time and sequence number of the earliest pending event. Require
+  // !empty().
   SimTime NextTime() const { return heap_.front().time; }
+  uint64_t NextSeq() const { return heap_.front().seq; }
+
+  // Sequence numbers order same-time events: each Push takes the next one.
+  // TakeSeq() takes one without scheduling anything; SeqMark() is the one
+  // the next Push or TakeSeq will take.
+  uint64_t TakeSeq() { return next_seq_++; }
+  uint64_t SeqMark() const { return next_seq_; }
 
   // Removes and returns the earliest event's callback. Requires !empty().
   Callback Pop();

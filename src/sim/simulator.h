@@ -40,6 +40,18 @@ class Simulator {
     At(now_ + delay, std::forward<F>(fn));
   }
 
+  // --- Event order ---
+  // Events fire in (time, seq) order, and each scheduled event takes the
+  // next seq. TakeStamp() takes one without scheduling anything: it marks
+  // the place an event scheduled now would hold, for state that models an
+  // event instead of scheduling it. Passed(t, stamp) is true iff such an
+  // event at time t has already fired, i.e. it orders before the code now
+  // running (an event, or a caller between Run calls).
+  uint64_t TakeStamp() { return queue_.TakeSeq(); }
+  bool Passed(SimTime t, uint64_t stamp) const {
+    return t < now_ || (t == now_ && stamp < position_);
+  }
+
   // Processes the earliest event. Returns false if the queue is empty.
   bool RunOne();
 
@@ -66,6 +78,9 @@ class Simulator {
 
  private:
   SimTime now_ = 0;
+  // Seq of the event running or last run; once nothing is left due at
+  // now_, the next seq to be taken (every stamp at now_ has passed).
+  uint64_t position_ = 0;
   uint64_t steps_ = 0;
   EventQueue queue_;
 };

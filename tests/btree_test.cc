@@ -609,14 +609,16 @@ TEST(RangeBoundaryTest, ScanCrossesMsBoundaries) {
     const TreeShape& shape = system.options().shape;
     rdma::GlobalAddress addr = system.DebugRootAddr();
     while (true) {
-      NodeView view(system.fabric().HostRaw(addr), &shape);
+      const NodeView view =
+          NodeView::Reader(system.fabric().HostRaw(addr), &shape);
       if (view.is_leaf()) break;
       addr = view.leftmost_child();
     }
     std::set<uint16_t> servers;
     for (int i = 0; i < 40 && !addr.is_null(); i++) {
       servers.insert(addr.node);
-      NodeView view(system.fabric().HostRaw(addr), &shape);
+      const NodeView view =
+          NodeView::Reader(system.fabric().HostRaw(addr), &shape);
       addr = view.sibling();
     }
     ASSERT_GE(servers.size(), 3u) << "leaves not spread across servers";
@@ -832,19 +834,19 @@ TEST(VarTreeTest, ScanRestartAfterMergeRepeatsNoRow) {
   const TreeShape& shape = topt.shape;
 
   // Leaves 2 and 3 of the chain: A and its right sibling B.
+  auto node = [&](rdma::GlobalAddress a) {
+    return NodeView::Reader(system.fabric().HostRaw(a), &shape);
+  };
   rdma::GlobalAddress addr = system.DebugRootAddr();
-  while (!NodeView(system.fabric().HostRaw(addr), &shape).is_leaf()) {
-    addr = NodeView(system.fabric().HostRaw(addr), &shape).leftmost_child();
-  }
+  while (!node(addr).is_leaf()) addr = node(addr).leftmost_child();
   std::vector<rdma::GlobalAddress> leaves;
-  for (; !addr.is_null() && leaves.size() < 4;
-       addr = NodeView(system.fabric().HostRaw(addr), &shape).sibling()) {
+  for (; !addr.is_null() && leaves.size() < 4; addr = node(addr).sibling()) {
     leaves.push_back(addr);
   }
   ASSERT_EQ(leaves.size(), 4u);
   const rdma::GlobalAddress a_addr = leaves[2], b_addr = leaves[3];
   auto keys_of = [&](rdma::GlobalAddress leaf) {
-    NodeView v(system.fabric().HostRaw(leaf), &shape);
+    const NodeView v = node(leaf);
     std::vector<std::string> out;
     for (uint32_t i = 0; i < v.count(); i++) out.push_back(v.VarFullKey(i));
     return out;
@@ -868,7 +870,7 @@ TEST(VarTreeTest, ScanRestartAfterMergeRepeatsNoRow) {
       EXPECT_TRUE((co_await c->InsertVar(k, std::string(100, 'o'))).ok());
     }
     while (true) {
-      NodeView v(sys->fabric().HostRaw(b), &shape);
+      const NodeView v = NodeView::Reader(sys->fabric().HostRaw(b), &shape);
       const uint32_t last = v.count() - 1;
       if (v.VarLiveBytes() - kVarSlotSize - v.VarEntryBytes(last) <
           merge_below) {
@@ -880,7 +882,7 @@ TEST(VarTreeTest, ScanRestartAfterMergeRepeatsNoRow) {
   }(&system, &a_keys, b_addr, merge_below, &ready));
   system.simulator().Run();
   ASSERT_TRUE(ready);
-  ASSERT_FALSE(NodeView(system.fabric().HostRaw(b_addr), &shape).is_free());
+  ASSERT_FALSE(node(b_addr).is_free());
   const std::vector<std::string> b_left = keys_of(b_addr);
 
   // The scan of A races one more delete in B, which merges B into A.
@@ -901,7 +903,7 @@ TEST(VarTreeTest, ScanRestartAfterMergeRepeatsNoRow) {
   }(&system.client(1), &b_left.back(), &deleted));
   system.simulator().Run();
   ASSERT_TRUE(scanned && deleted);
-  ASSERT_TRUE(NodeView(system.fabric().HostRaw(b_addr), &shape).is_free())
+  ASSERT_TRUE(node(b_addr).is_free())
       << "the delete did not merge B away";
   system.DebugCheckInvariants();
 

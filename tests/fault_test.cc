@@ -26,7 +26,8 @@ rdma::GlobalAddress FindLeafDirect(ShermanSystem* system, Key key) {
   const TreeShape& shape = system->options().shape;
   rdma::GlobalAddress addr = system->DebugRootAddr();
   while (true) {
-    NodeView view(system->fabric().HostRaw(addr), &shape);
+    const NodeView view =
+        NodeView::Reader(system->fabric().HostRaw(addr), &shape);
     if (view.is_leaf()) return addr;
     addr = view.InternalChildFor(key);
   }
@@ -36,14 +37,18 @@ TEST(FaultTest, TornNodeVersionsForceRereadUntilConsistent) {
   ShermanSystem system(SmallFabric(), ShermanOptions());
   system.BulkLoad(bench::MakeLoadKvs(1'000), 0.8);
   const rdma::GlobalAddress leaf = FindLeafDirect(&system, 100);
-  uint8_t* raw = system.fabric().HostRaw(leaf);
   const TreeShape& shape = system.options().shape;
+  rdma::Fabric* fabric = &system.fabric();
+  // protocol-ok: fault injection
+  uint8_t* raw = fabric->HostMutable(leaf, shape.node_size);
 
   // Tear the node: bump only the front version.
   raw[kOffFnv] = (raw[kOffFnv] + 1) & 0xf;
   // Schedule the repair to land mid-run (a writer would normally do this).
-  system.simulator().After(20'000, [raw, &shape] {
-    raw[shape.node_size - 1] = raw[kOffFnv];
+  system.simulator().After(20'000, [fabric, leaf, &shape] {
+    // protocol-ok: fault injection
+    uint8_t* node = fabric->HostMutable(leaf, shape.node_size);
+    node[shape.node_size - 1] = node[kOffFnv];
   });
 
   bool done = false;
@@ -63,10 +68,15 @@ TEST(FaultTest, ChecksumModeDetectsBitrot) {
   ShermanSystem system(SmallFabric(), FgPlusOptions());
   system.BulkLoad(bench::MakeLoadKvs(1'000), 0.8);
   const rdma::GlobalAddress leaf = FindLeafDirect(&system, 100);
-  uint8_t* raw = system.fabric().HostRaw(leaf);
+  rdma::Fabric* fabric = &system.fabric();
+  const uint32_t node_size = system.options().shape.node_size;
 
-  raw[300] ^= 0x40;  // silent corruption
-  system.simulator().After(20'000, [raw] { raw[300] ^= 0x40; });  // repair
+  // protocol-ok: fault injection
+  fabric->HostMutable(leaf, node_size)[300] ^= 0x40;  // silent corruption
+  system.simulator().After(20'000, [fabric, leaf, node_size] {
+    // protocol-ok: fault injection
+    fabric->HostMutable(leaf, node_size)[300] ^= 0x40;  // repair
+  });
 
   bool done = false;
   sim::Spawn([](TreeClient* c, bool* flag) -> sim::Task<void> {
@@ -87,7 +97,8 @@ TEST(FaultTest, PermanentlyTornNodeTimesOutCleanly) {
   ShermanSystem system(SmallFabric(), topt);
   system.BulkLoad(bench::MakeLoadKvs(1'000), 0.8);
   const rdma::GlobalAddress leaf = FindLeafDirect(&system, 100);
-  uint8_t* raw = system.fabric().HostRaw(leaf);
+  // protocol-ok: fault injection
+  uint8_t* raw = system.fabric().HostMutable(leaf, kOffFnv + 1);
   raw[kOffFnv] = (raw[kOffFnv] + 1) & 0xf;  // torn forever
 
   bool done = false;

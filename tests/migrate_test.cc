@@ -38,13 +38,13 @@ std::vector<rdma::GlobalAddress> LiveLeavesInRange(ShermanSystem* sys, Key lo,
   const TreeShape& shape = sys->options().shape;
   rdma::GlobalAddress addr = sys->DebugRootAddr();
   while (true) {
-    NodeView view(sys->fabric().HostRaw(addr), &shape);
+    const NodeView view = NodeView::Reader(sys->fabric().HostRaw(addr), &shape);
     if (view.is_leaf()) break;
     addr = view.InternalChildFor(lo);
   }
   std::vector<rdma::GlobalAddress> out;
   while (!addr.is_null()) {
-    NodeView view(sys->fabric().HostRaw(addr), &shape);
+    const NodeView view = NodeView::Reader(sys->fabric().HostRaw(addr), &shape);
     if (view.lo_fence() >= hi) break;
     out.push_back(addr);
     addr = view.sibling();

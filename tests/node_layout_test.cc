@@ -711,7 +711,9 @@ TreeOptions VarTreeOptions(uint32_t node_size) {
 rdma::GlobalAddress LeftmostLeaf(ShermanSystem& system) {
   rdma::GlobalAddress addr = system.DebugRootAddr();
   while (true) {
-    NodeView view(system.fabric().HostRaw(addr), &system.options().shape);
+    const NodeView view =
+        NodeView::Reader(system.fabric().HostRaw(addr),
+                         &system.options().shape);
     if (view.is_leaf()) return addr;
     addr = view.leftmost_child();
   }
@@ -733,7 +735,8 @@ void ExpectLoadMatchesReference(const KvList& kvs, double fill,
   rdma::GlobalAddress addr = LeftmostLeaf(system);
   size_t l = 0;
   for (; !addr.is_null(); l++) {
-    NodeView got(system.fabric().HostRaw(addr), &shape);
+    const NodeView got =
+        NodeView::Reader(system.fabric().HostRaw(addr), &shape);
     ASSERT_LT(l, ref.size()) << "more leaves than the reference";
     const Key lo = l == 0 ? 0 : RoutingKeyFor(ref[l].front().key);
     const Key hi =
@@ -1022,7 +1025,8 @@ TEST_F(VarScanTest, StartSharesPartOfThePagePrefix) {
   rdma::GlobalAddress addr = LeftmostLeaf(system_);
   std::string prefix;
   while (!addr.is_null()) {
-    NodeView view(system_.fabric().HostRaw(addr), &shape);
+    const NodeView view =
+        NodeView::Reader(system_.fabric().HostRaw(addr), &shape);
     addr = view.sibling();
     if (view.prefix_len() >= 3 && !addr.is_null()) {
       prefix = view.VarPrefix().ToString();

@@ -7,11 +7,13 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "rdma/fabric.h"
 #include "sim/task.h"
+#include "util/random.h"
 
 namespace sherman::rdma {
 namespace {
@@ -36,7 +38,7 @@ TEST(GlobalAddressTest, Plus) {
   EXPECT_EQ(GlobalAddress(3, 100).Plus(28), GlobalAddress(3, 128));
 }
 
-// --- MemoryRegion in-flight read modeling ---
+// --- MemoryRegion DMA read windows ---
 
 TEST(MemoryRegionTest, PlainReadWrite) {
   MemoryRegion r(4096);
@@ -53,11 +55,11 @@ TEST(MemoryRegionTest, WriteAfterDmaPassedKeepsOldData) {
   r.Write(0, 0, before, 8);
   uint8_t dst[8];
   // DMA covers [0,8) over time [100, 200).
-  const uint64_t h = r.BeginRead(0, 8, dst, 100, 200);
+  const uint64_t h = r.OpenRead(0, 8, dst, 100, 200, 0);
   // At t=200 the DMA has passed everything: the write is invisible.
   const uint8_t after[8] = {2, 2, 2, 2, 2, 2, 2, 2};
   r.Write(200, 0, after, 8);
-  r.EndRead(h);
+  r.CloseRead(h);
   for (int i = 0; i < 8; i++) EXPECT_EQ(dst[i], 1);
   // Memory itself holds the new data.
   EXPECT_EQ(r.raw(0)[0], 2);
@@ -66,78 +68,77 @@ TEST(MemoryRegionTest, WriteAfterDmaPassedKeepsOldData) {
 TEST(MemoryRegionTest, WriteBeforeDmaStartIsFullyVisible) {
   MemoryRegion r(4096);
   uint8_t dst[8] = {0};
-  const uint64_t h = r.BeginRead(0, 8, dst, 100, 200);
+  const uint64_t h = r.OpenRead(0, 8, dst, 100, 200, 0);
   const uint8_t after[8] = {9, 9, 9, 9, 9, 9, 9, 9};
   r.Write(100, 0, after, 8);  // progress == 0: nothing transferred yet
-  r.EndRead(h);
+  r.CloseRead(h);
   for (int i = 0; i < 8; i++) EXPECT_EQ(dst[i], 9);
 }
 
 TEST(MemoryRegionTest, MidDmaWriteTearsAtProgressPoint) {
   MemoryRegion r(4096);
   uint8_t dst[100] = {0};
-  const uint64_t h = r.BeginRead(0, 100, dst, 0, 100);  // 1 byte per ns
+  const uint64_t h = r.OpenRead(0, 100, dst, 0, 100, 0);  // 1 byte per ns
   std::vector<uint8_t> after(100, 7);
   r.Write(50, 0, after.data(), 100);  // halfway through the DMA
-  r.EndRead(h);
+  r.CloseRead(h);
   // First half already transferred (old zeros), second half patched.
   for (int i = 0; i < 50; i++) EXPECT_EQ(dst[i], 0) << i;
   for (int i = 50; i < 100; i++) EXPECT_EQ(dst[i], 7) << i;
 }
 
-TEST(MemoryRegionTest, DisjointWriteDoesNotPatch) {
+TEST(MemoryRegionTest, UntouchedWindowIsCopiedOnceAtClose) {
   MemoryRegion r(4096);
-  uint8_t dst[8] = {0};
-  const uint64_t h = r.BeginRead(0, 8, dst, 0, 100);
+  uint8_t dst[8];
+  std::memset(dst, 0xee, 8);
+  const uint64_t h = r.OpenRead(0, 8, dst, 0, 100, 0);
   const uint8_t x[8] = {5, 5, 5, 5, 5, 5, 5, 5};
-  r.Write(50, 512, x, 8);  // elsewhere
-  r.EndRead(h);
-  for (int i = 0; i < 8; i++) EXPECT_EQ(dst[i], 0);
+  r.Write(50, 512, x, 8);  // elsewhere: the window stays unfilled
+  for (int i = 0; i < 8; i++) EXPECT_EQ(dst[i], 0xee) << i;
+  r.CloseRead(h);
+  for (int i = 0; i < 8; i++) EXPECT_EQ(dst[i], 0) << i;
 }
 
 TEST(MemoryRegionTest, InflightBookkeeping) {
   MemoryRegion r(4096);
-  uint8_t dst[8];
-  const uint64_t h1 = r.BeginRead(0, 8, dst, 0, 10);
-  const uint64_t h2 = r.BeginRead(8, 8, dst, 0, 10);
+  uint8_t dst[16];
+  const uint64_t h1 = r.OpenRead(0, 8, dst, 0, 10, 0);
+  const uint64_t h2 = r.OpenRead(8, 8, dst + 8, 0, 10, 1);
   EXPECT_EQ(r.inflight_reads(), 2u);
-  r.EndRead(h1);
-  r.EndRead(h2);
+  r.CloseRead(h1);
+  r.CloseRead(h2);
   EXPECT_EQ(r.inflight_reads(), 0u);
 }
 
-TEST(MemoryRegionTest, NonFifoEndReadKeepsOtherWindows) {
+TEST(MemoryRegionTest, NonFifoCloseReadKeepsOtherWindows) {
   MemoryRegion r(4096);
   uint8_t a[8] = {0}, b[8] = {0}, c[8] = {0};
-  const uint64_t ha = r.BeginRead(0, 8, a, 0, 100);
-  const uint64_t hb = r.BeginRead(16, 8, b, 0, 100);
-  const uint64_t hc = r.BeginRead(32, 8, c, 0, 100);
+  // Three windows over [0, 100): 8 bytes each, so 1 byte per 12.5 ns.
+  const uint64_t ha = r.OpenRead(0, 8, a, 0, 100, 0);
+  const uint64_t hb = r.OpenRead(16, 8, b, 0, 100, 1);
+  const uint64_t hc = r.OpenRead(32, 8, c, 0, 100, 2);
   EXPECT_EQ(r.inflight_reads(), 3u);
 
-  // End the middle window first: the first and last stay registered, so a
-  // write landing before their DMA starts still reaches both buffers.
-  r.EndRead(hb);
+  // Close the middle window first: the first and last stay registered, so
+  // a write at t=50 (half of each DMA done) still tears both.
+  r.CloseRead(hb);
   EXPECT_EQ(r.inflight_reads(), 2u);
   const std::vector<uint8_t> x(40, 4);
-  r.Write(0, 0, x.data(), 40);
-  for (int i = 0; i < 8; i++) {
-    EXPECT_EQ(a[i], 4) << i;
-    EXPECT_EQ(b[i], 0) << i;  // ended: never patched
-    EXPECT_EQ(c[i], 4) << i;
-  }
+  r.Write(50, 0, x.data(), 40);
 
   // Then the first window: only the last one remains.
-  r.EndRead(ha);
+  r.CloseRead(ha);
   EXPECT_EQ(r.inflight_reads(), 1u);
   const uint8_t y[8] = {6, 6, 6, 6, 6, 6, 6, 6};
-  r.Write(0, 0, y, 8);
-  r.Write(0, 32, y, 8);
-  for (int i = 0; i < 8; i++) {
-    EXPECT_EQ(a[i], 4) << i;
-    EXPECT_EQ(c[i], 6) << i;
-  }
-  r.EndRead(hc);
+  r.Write(75, 0, y, 8);
+  r.Write(75, 32, y, 8);
+  r.CloseRead(hc);
   EXPECT_EQ(r.inflight_reads(), 0u);
+  for (int i = 0; i < 8; i++) {
+    EXPECT_EQ(a[i], i < 4 ? 0 : 4) << i;
+    EXPECT_EQ(b[i], 0) << i;  // closed before any write
+    EXPECT_EQ(c[i], i < 4 ? 0 : i < 6 ? 4 : 6) << i;
+  }
 }
 
 TEST(MemoryRegionTest, WriteAcrossTwoWindowsPatchesEachAtItsProgress) {
@@ -145,18 +146,208 @@ TEST(MemoryRegionTest, WriteAcrossTwoWindowsPatchesEachAtItsProgress) {
   uint8_t a[64] = {0}, b[64] = {0};
   // Window A reads [0, 64) over [0, 64); window B reads [64, 128) over
   // [16, 80). Both move 1 byte per ns.
-  const uint64_t ha = r.BeginRead(0, 64, a, 0, 64);
-  const uint64_t hb = r.BeginRead(64, 64, b, 16, 80);
+  const uint64_t ha = r.OpenRead(0, 64, a, 0, 64, 0);
+  const uint64_t hb = r.OpenRead(64, 64, b, 16, 80, 1);
   // One write of [16, 112) at t=32: A has passed byte 32, B byte 80.
   std::vector<uint8_t> w(96, 9);
   r.Write(32, 16, w.data(), 96);
-  r.EndRead(hb);
-  r.EndRead(ha);
+  r.CloseRead(hb);
+  r.CloseRead(ha);
   for (int i = 0; i < 32; i++) EXPECT_EQ(a[i], 0) << i;
   for (int i = 32; i < 64; i++) EXPECT_EQ(a[i], 9) << i;
   for (int i = 0; i < 16; i++) EXPECT_EQ(b[i], 0) << i;   // [64, 80)
   for (int i = 16; i < 48; i++) EXPECT_EQ(b[i], 9) << i;  // [80, 112)
   for (int i = 48; i < 64; i++) EXPECT_EQ(b[i], 0) << i;  // past the write
+}
+
+// An in-place change in the nanosecond a DMA starts is in the payload iff
+// it runs before the window's stamp, as it would run before or after an
+// event scheduled at the DMA start.
+TEST(MemoryRegionTest, InPlaceChangeAtDmaStartOrdersByStamp) {
+  sim::Simulator sim;
+  MemoryRegion r(4096);
+  uint8_t early[8], late[8];
+  uint64_t h_early = 0, h_late = 0;
+  sim.At(0, [&] {
+    h_early = r.OpenRead(0, 8, early, 100, 200, sim.TakeStamp());
+    sim.At(100, [&] {
+      std::memset(r.MutableRaw(0, 8, sim), 7, 8);
+    });
+    h_late = r.OpenRead(0, 8, late, 100, 200, sim.TakeStamp());
+  });
+  sim.At(300, [&] {
+    r.CloseRead(h_early);
+    r.CloseRead(h_late);
+  });
+  sim.Run();
+  for (int i = 0; i < 8; i++) {
+    EXPECT_EQ(early[i], 0) << i;  // its DMA started before the change
+    EXPECT_EQ(late[i], 7) << i;   // its DMA started after it
+  }
+}
+
+// The eager model that lazily filled windows replace, kept as the
+// reference: a READ copies the region in an event at its DMA start, a Write
+// patches the unread suffix of every window until an event at its DMA end
+// unregisters it, and an in-place change is a plain store.
+class EagerRegion {
+ public:
+  explicit EagerRegion(size_t size) : data_(size, 0) {}
+
+  uint8_t* data() { return data_.data(); }
+
+  void Begin(uint8_t* dst, uint64_t offset, uint32_t len, sim::SimTime start,
+             sim::SimTime end) {
+    std::memcpy(dst, data_.data() + offset, len);
+    open_.push_back(Window{dst, offset, len, start, end});
+  }
+
+  void End(const uint8_t* dst) {
+    open_.erase(std::find_if(open_.begin(), open_.end(),
+                             [dst](const Window& w) { return w.dst == dst; }));
+  }
+
+  void Write(sim::SimTime now, uint64_t offset, const uint8_t* src,
+             uint32_t len) {
+    std::memcpy(data_.data() + offset, src, len);
+    for (const Window& w : open_) {
+      uint64_t progress = w.offset + w.len;
+      if (now <= w.start) {
+        progress = w.offset;
+      } else if (now < w.end) {
+        const double frac = static_cast<double>(now - w.start) /
+                            static_cast<double>(w.end - w.start);
+        progress = w.offset + static_cast<uint64_t>(frac * w.len);
+      }
+      const uint64_t begin = std::max({offset, w.offset, progress});
+      const uint64_t end = std::min<uint64_t>(offset + len, w.offset + w.len);
+      if (begin < end) {
+        std::memcpy(w.dst + (begin - w.offset), src + (begin - offset),
+                    end - begin);
+      }
+    }
+  }
+
+ private:
+  struct Window {
+    uint8_t* dst;
+    uint64_t offset;
+    uint32_t len;
+    sim::SimTime start;
+    sim::SimTime end;
+  };
+  std::vector<uint8_t> data_;
+  std::vector<Window> open_;
+};
+
+// Drives a MemoryRegion and the eager model through one random schedule of
+// overlapping READ windows, Writes and in-place changes on a small region,
+// and checks that every READ completes with the same payload in both.
+class WindowRace {
+ public:
+  explicit WindowRace(uint64_t seed)
+      : rng_(seed), lazy_(kSize), eager_(kSize) {}
+
+  // Runs the schedule; returns the number of READs compared.
+  int Run() {
+    for (int i = 0; i < 24; i++) {
+      const sim::SimTime t = rng_.Uniform(kHorizon);
+      if (rng_.Uniform(3) == 0) {
+        sim_.At(t, [this] { Post(); });
+      } else {
+        ChangeAt(t);
+      }
+    }
+    sim_.Run();
+    EXPECT_EQ(std::memcmp(lazy_.raw(0), eager_.data(), kSize), 0);
+    EXPECT_EQ(lazy_.inflight_reads(), 0u);
+    return compared_;
+  }
+
+ private:
+  static constexpr uint64_t kSize = 192;
+  static constexpr sim::SimTime kHorizon = 48;
+
+  struct Read {
+    std::vector<uint8_t> lazy;
+    std::vector<uint8_t> eager;
+    uint64_t handle = 0;
+  };
+
+  // Random bytes over a random range, applied to both models as a Write or
+  // as an in-place change.
+  void Change(bool in_place) {
+    const uint64_t offset = rng_.Uniform(kSize);
+    const uint64_t len =
+        1 + rng_.Uniform(std::min<uint64_t>(48, kSize - offset));
+    std::vector<uint8_t> bytes(len);
+    for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng_.Next());
+    if (in_place) {
+      std::memcpy(lazy_.MutableRaw(offset, len, sim_), bytes.data(), len);
+      std::memcpy(eager_.data() + offset, bytes.data(), len);
+    } else {
+      const auto n = static_cast<uint32_t>(len);
+      lazy_.Write(sim_.now(), offset, bytes.data(), n);
+      eager_.Write(sim_.now(), offset, bytes.data(), n);
+    }
+  }
+
+  void ChangeAt(sim::SimTime t) {
+    const bool in_place = rng_.Bernoulli(0.5);
+    sim_.At(t, [this, in_place] { Change(in_place); });
+  }
+
+  // Posts a READ as Qp does: its DMA starts after now, the eager model gets
+  // events at the start and end, the region a stamp. Changes land at the
+  // start on either side of the stamp, mid-DMA, at the end, and between
+  // the end and the completion.
+  void Post() {
+    const uint64_t offset = rng_.Uniform(kSize);
+    const auto len = static_cast<uint32_t>(
+        1 + rng_.Uniform(std::min<uint64_t>(96, kSize - offset)));
+    const sim::SimTime start = sim_.now() + 1 + rng_.Uniform(8);
+    const sim::SimTime end = start + 1 + rng_.Uniform(16);
+    const sim::SimTime done = end + rng_.Uniform(8);
+    reads_.push_back(std::make_unique<Read>());
+    Read* r = reads_.back().get();
+    r->lazy.assign(len, 0xee);
+    r->eager.assign(len, 0xdd);
+
+    if (rng_.Bernoulli(0.5)) ChangeAt(start);  // before the DMA start
+    r->handle = lazy_.OpenRead(offset, len, r->lazy.data(), start, end,
+                               sim_.TakeStamp());
+    sim_.At(start, [this, r, offset, len, start, end] {
+      eager_.Begin(r->eager.data(), offset, len, start, end);
+    });
+    sim_.At(end, [this, r] { eager_.End(r->eager.data()); });
+    if (rng_.Bernoulli(0.5)) ChangeAt(start);  // after it
+    if (rng_.Bernoulli(0.5)) ChangeAt(start + rng_.Uniform(end - start));
+    if (rng_.Bernoulli(0.3)) ChangeAt(end);
+    if (rng_.Bernoulli(0.3)) ChangeAt(end + rng_.Uniform(done - end + 1));
+    sim_.At(done, [this, r] {
+      lazy_.CloseRead(r->handle);
+      EXPECT_EQ(r->lazy, r->eager);
+      compared_++;
+    });
+    if (rng_.Bernoulli(0.3)) sim_.At(done, [this] { Post(); });
+  }
+
+  Random rng_;
+  sim::Simulator sim_;
+  MemoryRegion lazy_;
+  EagerRegion eager_;
+  std::vector<std::unique_ptr<Read>> reads_;
+  int compared_ = 0;
+};
+
+TEST(MemoryRegionTest, LazyWindowsMatchEagerModel) {
+  int compared = 0;
+  for (uint64_t seed = 1; seed <= 300; seed++) {
+    SCOPED_TRACE(seed);
+    compared += WindowRace(seed).Run();
+    if (HasFailure()) break;
+  }
+  EXPECT_GT(compared, 2500);
 }
 
 // --- MemoryRegion backing: lazily zero-filled, guard page after the end ---
@@ -191,8 +382,9 @@ TEST(MemoryRegionTest, UntouchedMemoryIsNotResident) {
 TEST(MemoryRegionDeathTest, OverrunPastTheEndFaults) {
   EXPECT_DEATH(
       {
+        sim::Simulator sim;
         MemoryRegion r(4096);
-        std::memset(r.raw(r.size() - 8), 0xab, 16);
+        std::memset(r.MutableRaw(r.size() - 8, 8, sim), 0xab, 16);
       },
       "");
 }
@@ -303,6 +495,44 @@ TEST_F(FabricTest, SmallReadLatencyAboutTwoMicroseconds) {
   // Paper: <= 2 us for small messages on an idle fabric.
   EXPECT_GT(latency, 1500u);
   EXPECT_LT(latency, 2500u);
+}
+
+// Each verb's cost in simulator events. A READ schedules only its
+// completion: its DMA window is filled lazily (see MemoryRegion), so a
+// change that brings back per-READ events fails here.
+TEST_F(FabricTest, EventBudgetPerVerb) {
+  RunTask([](Fabric* f) -> sim::Task<void> {
+    sim::Simulator& sim = f->simulator();
+    Qp& qp = f->qp(0, 0);
+    const GlobalAddress addr(0, 1 << 20);
+    std::vector<uint8_t> buf(4 * 1024);
+    uint64_t mark = sim.steps();
+    auto events = [&sim, &mark] {
+      const uint64_t spent = sim.steps() - mark;
+      mark = sim.steps();
+      return spent;
+    };
+
+    co_await qp.Post(WorkRequest::Read(addr, buf.data(), 1024));
+    EXPECT_EQ(events(), 1u);  // READ
+    std::vector<WorkRequest> reads;
+    for (uint32_t i = 0; i < 4; i++) {
+      reads.push_back(WorkRequest::Read(addr.Plus(i * 1024),
+                                        buf.data() + i * 1024, 1024));
+    }
+    co_await qp.PostReadBatch(std::move(reads));
+    EXPECT_EQ(events(), 1u);  // 4-READ PostReadBatch
+    co_await qp.Post(WorkRequest::Write(addr, buf.data(), 1024));
+    EXPECT_EQ(events(), 2u);  // WRITE
+    uint64_t fetched = 0;
+    co_await qp.Post(WorkRequest::Cas(addr, 0, 1, &fetched));
+    EXPECT_EQ(events(), 2u);  // CAS
+    std::vector<WorkRequest> batch;
+    batch.push_back(WorkRequest::Write(addr, buf.data(), 64));
+    batch.push_back(WorkRequest::Read(addr, buf.data() + 64, 64));
+    co_await qp.PostBatch(std::move(batch));
+    EXPECT_EQ(events(), 2u);  // WRITE+READ batch
+  }(&fabric_));
 }
 
 TEST_F(FabricTest, CasSucceedsAndFails) {

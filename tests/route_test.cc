@@ -401,7 +401,9 @@ TEST(TreeRpcTest, DeclinesLockedLeafAndHybridFallsBack) {
           ? system.fabric().ms(ref.ms).device()
           : system.fabric().ms(ref.ms).host();
   const uint16_t held = 7;
-  std::memcpy(region.raw(ref.lane_offset()), &held, 2);
+  std::memcpy(region.MutableRaw(ref.lane_offset(), 2,  // protocol-ok: test
+                                system.simulator()),
+              &held, 2);
 
   route::TreeRpcClient client(&system.rpc_service(), 0);
   bool done = false;
@@ -421,7 +423,9 @@ TEST(TreeRpcTest, DeclinesLockedLeafAndHybridFallsBack) {
   // Release the lane; a hybrid client forced onto the RPC path now writes
   // through the MS-side executor directly.
   const uint16_t free_lane = 0;
-  std::memcpy(region.raw(ref.lane_offset()), &free_lane, 2);
+  std::memcpy(region.MutableRaw(ref.lane_offset(), 2,  // protocol-ok: test
+                                system.simulator()),
+              &free_lane, 2);
   system.router().ForceAssignment(
       std::vector<Path>(system.router().num_shards(), Path::kRpc));
   done = false;

@@ -150,6 +150,28 @@ TEST(SimulatorTest, StepsCounted) {
   EXPECT_EQ(sim.steps(), 5u);
 }
 
+// A stamp holds the place of an event scheduled when it was taken: it has
+// passed for same-time events scheduled after it, and for code between runs
+// once nothing is left due at its time.
+TEST(SimulatorTest, StampsOrderAmongSameTimeEvents) {
+  Simulator sim;
+  std::vector<bool> passed;
+  uint64_t stamp = 0;
+  sim.At(5, [&] { passed.push_back(sim.Passed(10, stamp)); });
+  sim.At(10, [&] { passed.push_back(sim.Passed(10, stamp)); });
+  stamp = sim.TakeStamp();
+  sim.At(10, [&] { passed.push_back(sim.Passed(10, stamp)); });
+  sim.At(30, [] {});
+  EXPECT_FALSE(sim.Passed(10, stamp));
+  sim.RunOne();
+  sim.RunOne();
+  EXPECT_FALSE(sim.Passed(10, stamp));  // the event after it is still due
+  sim.RunUntil(20);
+  EXPECT_EQ(passed, (std::vector<bool>{false, false, true}));
+  EXPECT_TRUE(sim.Passed(10, stamp));
+  EXPECT_FALSE(sim.Passed(30, sim.TakeStamp()));
+}
+
 // --- coroutine tasks ---
 
 Task<int> Answer() { co_return 42; }
